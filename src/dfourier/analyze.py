@@ -20,8 +20,11 @@ from numpy.polynomial.legendre import leggauss
 
 from .arith import residue_set
 from .bump import BumpSpec
-from .measure import (MeasureStage, _grid_parts, _member_data, build_xi_grid,
-                      envelope_tail)
+from .measure import (MeasureStage, build_xi_grid, factor_tail_profiles,
+                      window_samples)
+# kept importable from here: bench/spans.py rebinds every module's copy of
+# envelope_tail, and bench/selftest.py checks this one
+from .measure import envelope_tail  # noqa: F401
 from .profile import ApproximationProfile
 
 
@@ -33,32 +36,14 @@ def transform_samples(stage: MeasureStage, xi_grid: np.ndarray,
                       kernel_halfwidth: int | None = None) -> np.ndarray:
     """Measure transform at quarter-integer frequencies.
 
-    nu-hat(n + f/4) = sum over m in [-d_h, d_h] of
-    gfactors(n - m) * h0-hat(m + f/4), summed directly per sample with
-    one gather of the stored block per quarter offset f.  Each sample's
-    rounding error is relative to its own terms, not to the whole
-    block, so small samples far out keep their digits; exact for the
-    stored block up to the kernel cut (see ``sampling_remainder``).
+    nu-hat is the transform of the stored g-product times the window h0,
+    so ``window_samples`` of the gfactors block gives it directly; exact
+    for the stored block up to the kernel cut (see
+    ``sampling_remainder``).
     """
-    d_h = int(kernel_halfwidth or stage.config.kernel_halfwidth)
-    gf = stage.gfactors
-    xi = np.asarray(xi_grid, dtype=float)
-    ns, fracs = _grid_parts(xi)
-    l_g = gf.half_bandwidth
-    if len(ns) and int(np.max(np.abs(ns))) > l_g + d_h:
-        raise ValueError(
-            f"frequency beyond stored coverage {l_g + d_h}")
-    # zero padding lets every n - m with |n| <= l_g + d_h index the block
-    padded = np.pad(gf.coeffs, 2 * d_h)
-    offsets = l_g + 2 * d_h - np.arange(-d_h, d_h + 1)
-    out = np.empty(len(ns), dtype=np.complex128)
-    for fi in range(4):
-        sel = fracs == fi
-        if not sel.any():
-            continue
-        kern = stage.config.bump.window_kernel(fi / 4.0, d_h)
-        out[sel] = (padded[ns[sel][:, None] + offsets] * kern).sum(axis=1)
-    return out
+    d_h = kernel_halfwidth or stage.config.kernel_halfwidth
+    return window_samples(stage.gfactors.coeffs, xi_grid, stage.config.bump,
+                          d_h)
 
 
 def sampling_remainder(stage: MeasureStage,
@@ -78,19 +63,6 @@ def sampling_remainder(stage: MeasureStage,
                2.0 * linf * bump.window_tail_sum(d_h - 1))
 
 
-def _factor_tail_profiles(stage: MeasureStage):
-    """Per factor: stored half-band, unnormalized l1, tail profile."""
-    profile, bump, eta = stage.profile, stage.config.bump, stage.eta
-    rows = []
-    for summary in stage.factor_summaries:
-        info = dict(summary)
-        members = profile.bucket(eta, int(info["scale"])).members
-        data = _member_data(profile, members)
-        rows.append((int(info["half_bandwidth"]), float(info["l1_norm"]),
-                     lambda L, d=data: envelope_tail(d, bump, int(L))))
-    return rows
-
-
 def pointwise_error_bound(stage: MeasureStage, xi_top: float | None = None,
                           octaves: int = 40) -> float:
     """Certified |sampled - true| bound valid at every |xi| <= xi_top.
@@ -108,7 +80,7 @@ def pointwise_error_bound(stage: MeasureStage, xi_top: float | None = None,
     bump = cfg.bump
     if xi_top is None:
         xi_top = float(cfg.xi_max)
-    rows = _factor_tail_profiles(stage)
+    rows = factor_tail_profiles(stage)
     if not rows:
         return sampling_remainder(stage)
     d_h = cfg.kernel_halfwidth
@@ -411,46 +383,44 @@ def _comb_witness(comb: _FactorComb, x: float) -> dict | None:
 
 
 def _merge_intervals(lo: np.ndarray, hi: np.ndarray):
-    """Merge a lo-sorted interval family into a disjoint union."""
+    """Merge a lo-sorted interval family into a disjoint union.
+
+    Touching intervals merge.  Returns the pieces' (lo, hi) and the index
+    of each piece's first member: a piece starts wherever lo passes the
+    running max of every earlier hi.
+    """
     if len(lo) == 0:
-        return lo, hi
-    out_lo, out_hi = [lo[0]], [hi[0]]
-    for a, b in zip(lo[1:], hi[1:]):
-        if a <= out_hi[-1]:
-            out_hi[-1] = max(out_hi[-1], b)
-        else:
-            out_lo.append(a)
-            out_hi.append(b)
-    return np.asarray(out_lo), np.asarray(out_hi)
+        return lo, hi, np.zeros(0, dtype=np.intp)
+    reach = np.maximum.accumulate(hi)
+    first = np.flatnonzero(np.r_[True, lo[1:] > reach[:-1]])
+    return lo[first], np.maximum.reduceat(hi, first), first
 
 
-def _intersect_unions(alo, ahi, blo, bhi):
-    """Intersection of two disjoint sorted interval unions."""
-    out_lo, out_hi = [], []
-    i = j = 0
-    while i < len(alo) and j < len(blo):
-        lo = max(alo[i], blo[j])
-        hi = min(ahi[i], bhi[j])
-        if lo < hi:
-            out_lo.append(lo)
-            out_hi.append(hi)
-        if ahi[i] <= bhi[j]:
-            i += 1
-        else:
-            j += 1
-    return np.asarray(out_lo), np.asarray(out_hi)
+def _clip_to_union(a: float, b: float, lo: np.ndarray, hi: np.ndarray):
+    """Nonempty pieces of [a, b] inside a disjoint sorted interval union."""
+    i = np.searchsorted(hi, a, side="right")
+    j = np.searchsorted(lo, b, side="left")
+    seg_lo = np.maximum(lo[i:j], a)
+    seg_hi = np.minimum(hi[i:j], b)
+    keep = seg_lo < seg_hi
+    return seg_lo[keep], seg_hi[keep]
 
 
 class DirectDensity:
     """Series-free evaluator and integrator for a built measure.
 
     Point values multiply the exact factor combs with the base window.
-    Interval masses integrate piecewise between spline knots with a
-    Gauss-Legendre rule; since the product vanishes off the finest
-    factor's support, integration runs over its spike intervals.  For
-    an isolated unclipped spike the substitution u = (x - c) q / psi
-    turns the spike's own bump into one fixed normalized rule, so the
-    bulk of the work is a rectangular batch over all spikes.
+    Since the product vanishes off the finest factor's support, interval
+    masses integrate over its spike intervals, on one of two paths:
+
+    * the rectangular batch, for an isolated unclipped spike that lies
+      wholly inside the target: the substitution u = (x - c) q / psi
+      turns the spike's own bump into one fixed normalized rule, so the
+      bulk of the work is one batch over all such spikes;
+    * the knot path, for everything else (merged or clipped spike
+      groups, and spikes that cross a target edge): a Gauss-Legendre
+      rule between the spline knots of every factor on each piece of
+      the group clipped to the target union.
     """
 
     def __init__(self, stage: MeasureStage, gl_order: int = 8):
@@ -515,29 +485,17 @@ class DirectDensity:
         c, q, psi, cnt = c[order], q[order], psi[order], cnt[order]
         lo, hi, r = lo[order], hi[order], r[order]
 
-        merged_lo, merged_hi, groups = [], [], []
-        for k in range(len(lo)):
-            if merged_lo and lo[k] <= merged_hi[-1]:
-                merged_hi[-1] = max(merged_hi[-1], hi[k])
-                groups[-1].append(k)
-            else:
-                merged_lo.append(lo[k])
-                merged_hi.append(hi[k])
-                groups.append([k])
-
+        merged_lo, merged_hi, first = _merge_intervals(lo, hi)
+        ends = np.r_[first[1:], len(lo)]
         clipped = (c - r < 0.0) | (c + r > 1.0)
-        fast_rows, slow = [], []
-        for g_idx, grp in enumerate(groups):
-            if len(grp) == 1 and not clipped[grp[0]]:
-                fast_rows.append(grp[0])
-            else:
-                slow.append((float(merged_lo[g_idx]),
-                             float(merged_hi[g_idx]),
-                             tuple((float(c[k]), float(q[k]), float(psi[k]),
-                                    float(cnt[k])) for k in grp)))
+        single = (ends - first == 1) & ~clipped[first]
+        slow = [(float(merged_lo[g]), float(merged_hi[g]),
+                 tuple((float(c[k]), float(q[k]), float(psi[k]),
+                        float(cnt[k])) for k in range(first[g], ends[g])))
+                for g in np.flatnonzero(~single)]
         return {
             "c": c, "q": q, "psi": psi, "cnt": cnt,
-            "fast": np.asarray(fast_rows, dtype=np.int64),
+            "fast": first[single],
             "slow": slow,
             "n_members": len(fine.qs),
         }
@@ -656,36 +614,30 @@ class DirectDensity:
         hi = np.asarray(hi, dtype=float)
         if len(lo) == 0:
             return 0.0
-        if self._geom is None:
-            total = sum(self._generic_segment(max(a, 0.0), min(b, 1.0), ())
-                        for a, b in zip(lo, hi))
-            return total / self.z
         g = self._geom
-        total = 0.0
-        fast = g["fast"]
-        if len(fast):
+        if g is None:
+            total, groups = 0.0, [(0.0, 1.0, ())]
+        else:
+            # spikes wholly inside one target interval go to the batch;
+            # those that cross an edge join the merged groups as
+            # one-member groups and take the knot path clipped to the union
+            fast = g["fast"]
             r = self.bump.shrink * g["psi"][fast] / g["q"][fast]
             s_lo = g["c"][fast] - r
             s_hi = g["c"][fast] + r
             j = np.searchsorted(lo, s_lo, side="right") - 1
             jj = np.maximum(j, 0)
             inside = (j >= 0) & (lo[jj] <= s_lo) & (s_hi <= hi[jj])
-            overlaps = ~inside & (np.searchsorted(lo, s_hi, "left")
-                                  > np.searchsorted(hi, s_lo, "right"))
-            total += self._fast_batch(fast[inside])
-            for k in fast[overlaps].tolist():
-                row = (float(g["c"][k]), float(g["q"][k]),
-                       float(g["psi"][k]), float(g["cnt"][k]))
-                rr = self.bump.shrink * row[2] / row[1]
-                seg_lo, seg_hi = _intersect_unions(
-                    np.array([row[0] - rr]), np.array([row[0] + rr]), lo, hi)
-                for aa, bb in zip(seg_lo, seg_hi):
-                    total += self._generic_segment(float(aa), float(bb),
-                                                   (row,))
-        for (a, b, own) in g["slow"]:
-            seg_lo, seg_hi = _intersect_unions(
-                np.array([a]), np.array([b]), lo, hi)
-            for aa, bb in zip(seg_lo, seg_hi):
+            overlaps = np.flatnonzero(
+                ~inside & (np.searchsorted(lo, s_hi, "left")
+                           > np.searchsorted(hi, s_lo, "right")))
+            total = self._fast_batch(fast[inside])
+            groups = [(s_lo[i], s_hi[i],
+                       ((float(g["c"][k]), float(g["q"][k]),
+                         float(g["psi"][k]), float(g["cnt"][k])),))
+                      for i, k in zip(overlaps, fast[overlaps])] + g["slow"]
+        for a, b, own in groups:
+            for aa, bb in zip(*_clip_to_union(a, b, lo, hi)):
                 total += self._generic_segment(float(aa), float(bb), own)
         return total / self.z
 
@@ -768,7 +720,7 @@ def _target_intervals(profile: ApproximationProfile, q: int):
     keep = (lo < 1.5) & (hi > lo)
     lo, hi = lo[keep], hi[keep]
     order = np.argsort(lo, kind="stable")
-    lo, hi = _merge_intervals(lo[order], hi[order])
+    lo, hi, _ = _merge_intervals(lo[order], hi[order])
     return lo, hi, rs.count
 
 

@@ -115,17 +115,6 @@ def squarefree_divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def smallest_prime_factor_sieve(limit: int) -> np.ndarray:
-    """Array ``spf`` with ``spf[n]`` the least prime factor of n (spf[0..1]=0)."""
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for i in range(2, limit + 1):
-        if spf[i] == 0:
-            spf[i : limit + 1 : i] = np.where(
-                spf[i : limit + 1 : i] == 0, i, spf[i : limit + 1 : i]
-            )
-    return spf
-
-
 # ---------------------------------------------------------------------------
 # restricted residue sets
 # ---------------------------------------------------------------------------

@@ -128,14 +128,6 @@ class BumpSpec:
         decay = (x0**m) * float(t0) ** (1 - m) / (m - 1)
         return n_flat + decay
 
-    def envelope_constant(self, power: float, xi_max: float, n: int = 4096) -> float:
-        """Max of |fourier(xi)| * (1+|xi|)**power over a log grid to xi_max."""
-        grid = np.concatenate(
-            [[0.0], np.exp(np.linspace(math.log(1e-3), math.log(xi_max), n))]
-        )
-        vals = np.abs(self.fourier(grid)) * (1.0 + grid) ** power
-        return float(vals.max())
-
     # ------------------------------------------------------------------
     # the unit-interval window h0
     # ------------------------------------------------------------------

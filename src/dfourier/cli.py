@@ -1,8 +1,8 @@
 """Command line front end: one JSON config drives every operation.
 
 Any flag whose name matches a config key overrides that key.  Exit
-codes: 0 success, 2 usage or precondition, 3 exhausted scale window,
-4 bandwidth budget overflow.  A failing build still writes the artifact
+codes: 0 success, 2 usage, precondition or corrupt artifact, 3 exhausted
+scale window, 4 bandwidth budget overflow.  A failing build still writes the artifact
 of its completed stages before exiting, so the analyzer can inspect the
 partial measure.
 """
@@ -30,6 +30,7 @@ from dfourier.analyze import (
     write_upper_csv,
 )
 from dfourier.errors import (
+    ArtifactError,
     BandwidthBudgetError,
     ProfileError,
     WindowExhaustedError,
@@ -375,6 +376,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ArtifactError as exc:
+        print(f"error: corrupt artifact {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

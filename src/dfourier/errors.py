@@ -6,6 +6,10 @@ class ProfileError(ValueError):
     """Raised when profile data violates a documented precondition."""
 
 
+class ArtifactError(ValueError):
+    """A file given as a stage artifact is not one intact artifact."""
+
+
 class BandwidthBudgetError(RuntimeError):
     """A requested coefficient band exceeds the configured hard cap.
 

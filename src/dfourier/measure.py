@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .arith import (
     TWO_PI,
@@ -42,7 +41,8 @@ from .arith import (
     squarefree_divisors,
 )
 from .bump import BumpSpec
-from .errors import BandwidthBudgetError, ProfileError, WindowExhaustedError
+from .errors import (ArtifactError, BandwidthBudgetError, ProfileError,
+                     WindowExhaustedError)
 from .profile import ApproximationProfile
 from .series import TruncatedFourierSeries, constant_series, series_multiply
 
@@ -155,6 +155,23 @@ def envelope_tail(data: list[_Member], bump: BumpSpec, half_bandwidth: int) -> f
     return 2.0 * total / len(data)
 
 
+def factor_tail_profiles(stage: MeasureStage) -> list[tuple]:
+    """Per built factor: stored half-band, unnormalized l1, tail profile.
+
+    The profile maps a half-bandwidth L to the certified ``envelope_tail``
+    of that factor's bucket beyond L.
+    """
+    profile, bump, eta = stage.profile, stage.config.bump, stage.eta
+    rows = []
+    for summary in stage.factor_summaries:
+        info = dict(summary)
+        data = _member_data(profile,
+                            profile.bucket(eta, int(info["scale"])).members)
+        rows.append((int(info["half_bandwidth"]), float(info["l1_norm"]),
+                     lambda L, d=data: envelope_tail(d, bump, int(L))))
+    return rows
+
+
 def certified_half_bandwidth(data: list[_Member], bump: BumpSpec,
                              tail_tol: float, cap: int) -> tuple[int, float, bool]:
     """Smallest half-bandwidth whose envelope tail is below ``tail_tol``.
@@ -254,8 +271,8 @@ def build_xi_grid(xi_max: float, samples_per_band: int = 32) -> np.ndarray:
 
     Holds {0, 1/4, 1/2, 3/4} plus ``samples_per_band`` log-spaced points
     per octave, each rounded to the nearest quarter integer; duplicates
-    collapse.  Quarter-integer alignment lets transform values come out
-    of four exact convolution lines.
+    collapse.  Quarter-integer alignment lets ``window_samples`` read
+    every transform value off one window kernel per quarter offset.
     """
     if xi_max < 1:
         raise ValueError("xi_max must be at least 1")
@@ -271,11 +288,37 @@ def build_xi_grid(xi_max: float, samples_per_band: int = 32) -> np.ndarray:
     return np.unique(np.concatenate(pts))
 
 
-def _grid_parts(xi_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    quarters = np.round(xi_grid * 4.0).astype(np.int64)
-    if not np.allclose(quarters / 4.0, xi_grid, rtol=0.0, atol=1e-9):
+def window_samples(coeffs: np.ndarray, xi_grid: np.ndarray, bump: BumpSpec,
+                   kernel_halfwidth: int) -> np.ndarray:
+    """Transform of (periodic series times h0) at quarter-integer frequencies.
+
+    The value at n + f/4 is the sum over m in [-d_h, d_h] of
+    coeffs(n - m) * h0-hat(m + f/4), summed directly per sample with one
+    gather of the block per quarter offset f.  Each sample's rounding
+    error is relative to its own terms, not to the whole block, so small
+    samples far out keep their digits; the kernel cut at d_h is the only
+    truncation.
+    """
+    d_h = int(kernel_halfwidth)
+    xi = np.asarray(xi_grid, dtype=float)
+    quarters = np.round(xi * 4.0).astype(np.int64)
+    if not np.allclose(quarters / 4.0, xi, rtol=0.0, atol=1e-9):
         raise ValueError("grid points must be quarter integers")
-    return quarters // 4, quarters % 4
+    ns, fracs = quarters // 4, quarters % 4
+    L = (len(coeffs) - 1) // 2
+    if len(ns) and int(np.max(np.abs(ns))) > L + d_h:
+        raise ValueError(f"frequency beyond stored coverage {L + d_h}")
+    # zero padding lets every n - m with |n| <= L + d_h index the block
+    padded = np.pad(coeffs, 2 * d_h)
+    offsets = L + 2 * d_h - np.arange(-d_h, d_h + 1)
+    out = np.empty(len(ns), dtype=np.complex128)
+    for fi in range(4):
+        sel = fracs == fi
+        if not sel.any():
+            continue
+        kern = bump.window_kernel(fi / 4.0, d_h)
+        out[sel] = (padded[ns[sel][:, None] + offsets] * kern).sum(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -297,9 +340,9 @@ def stability_gap(profile: ApproximationProfile, bump: BumpSpec, eta: float,
     without the window h0 (the constant series on the opening stage).
     The perturbation at xi is sum over l != 0 of ghat_M(l) * hhat(xi - l)
     where hhat is the transform of (g-product times h0), so the window
-    enters exactly once, through its closed-form transform sampled on
-    four quarter-offset kernel lines.  The weight is
-    (1 + |xi|)**(eta - eps).
+    enters exactly once, through its closed-form transform: the
+    candidate-times-periodic product is formed once and sampled by
+    ``window_samples``.  The weight is (1 + |xi|)**(eta - eps).
     """
     bucket = profile.bucket(eta, scale)
     if bucket.count == 0:
@@ -316,19 +359,9 @@ def stability_gap(profile: ApproximationProfile, bump: BumpSpec, eta: float,
     cand[l_c] = 0.0                      # remove the l = 0 term
     cand_l1 = float(np.sum(np.abs(cand)))
 
-    ns, fracs = _grid_parts(xi_grid)
+    prod = series_multiply(TruncatedFourierSeries(cand), periodic)
+    vals = np.abs(window_samples(prod.coeffs, xi_grid, bump, d_h))
     weights = (1.0 + xi_grid) ** (eta - eps)
-    vals = np.zeros(len(xi_grid))
-    for fi in range(4):
-        sel = fracs == fi
-        if not sel.any():
-            continue
-        kern = bump.window_kernel(fi / 4.0, d_h)
-        hline = fftconvolve(periodic.coeffs, kern) if l_g else kern.copy()
-        pert = fftconvolve(cand, hline)             # band l_c + l_g + d_h
-        center = l_c + l_g + d_h
-        vals[sel] = np.abs(pert[center + ns[sel]])
-        del hline, pert
     weighted = vals * weights
     i = int(np.argmax(weighted))
 
@@ -481,22 +514,47 @@ class MeasureStage:
 
     @staticmethod
     def load(path) -> "MeasureStage":
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _ARTIFACT_MAGIC:
-                raise ValueError(f"not a stage artifact: {path}")
-            (hlen,) = struct.unpack("<Q", fh.read(8))
-            header = json.loads(fh.read(hlen).decode())
-            if header.get("format") != _ARTIFACT_VERSION:
-                raise ValueError("unsupported artifact format")
-            blocks = {}
-            for name in ("density", "gfactors"):
-                n = header["blocks"][name]
-                rec = np.frombuffer(fh.read(n * _RECORD.itemsize), dtype=_RECORD)
-                L = (n - 1) // 2
-                if not np.array_equal(rec["l"], np.arange(-L, L + 1)):
-                    raise ValueError("corrupt coefficient block")
-                blocks[name] = rec["re"] + 1j * rec["im"]
+        """Read a stage written by ``save``.
+
+        Raises ``ArtifactError`` for anything but one intact artifact: a
+        bad magic, an undecodable or malformed header, an unsupported
+        format, a short or corrupt coefficient block, or trailing bytes.
+        """
+        raw = Path(path).read_bytes()
+        if raw[:4] != _ARTIFACT_MAGIC:
+            raise ArtifactError(f"{path}: not a stage artifact")
+        try:
+            return MeasureStage._parse(raw)
+        except ArtifactError as exc:
+            raise ArtifactError(f"{path}: {exc}") from None
+        except (AttributeError, KeyError, OverflowError, TypeError,
+                ValueError, struct.error) as exc:
+            raise ArtifactError(f"{path}: malformed header "
+                                f"({type(exc).__name__}: {exc})") from exc
+
+    @staticmethod
+    def _parse(raw: bytes) -> "MeasureStage":
+        (hlen,) = struct.unpack_from("<Q", raw, 4)
+        pos = 12 + hlen
+        if pos > len(raw):
+            raise ArtifactError("header runs past the end of the file")
+        header = json.loads(raw[12:pos].decode())
+        if not isinstance(header, dict) \
+                or header.get("format") != _ARTIFACT_VERSION:
+            raise ArtifactError("unsupported artifact format")
+        blocks = {}
+        for name in ("density", "gfactors"):
+            n = int(header["blocks"][name])
+            if n < 1 or pos + n * _RECORD.itemsize > len(raw):
+                raise ArtifactError(f"{name} block cut short")
+            rec = np.frombuffer(raw, dtype=_RECORD, count=n, offset=pos)
+            pos += n * _RECORD.itemsize
+            L = (n - 1) // 2
+            if not np.array_equal(rec["l"], np.arange(-L, L + 1)):
+                raise ArtifactError("corrupt coefficient block")
+            blocks[name] = rec["re"] + 1j * rec["im"]
+        if pos != len(raw):
+            raise ArtifactError(f"{len(raw) - pos} trailing bytes")
         cfg_d = header["config"]
         cfg = BuildConfig(
             xi_max=cfg_d["xi_max"], samples_per_band=cfg_d["samples_per_band"],

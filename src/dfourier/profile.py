@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .arith import coprime_density, residue_count, _validate_pair
+from .arith import coprime_density, _validate_pair
 from .errors import ProfileError
 
 _PSI_KINDS = ("power_law", "table")
@@ -498,12 +498,3 @@ def power_law_profile(tau: float, q_max: int, q_min: int | None = None,
         q_min = q_max + 1 if knee > q_max else max(2, math.floor(knee) + 1)
     return ApproximationProfile(q_min=int(q_min), q_max=int(q_max), tau=float(tau),
                                 theta_value=float(theta), coprime_kind=coprime)
-
-
-def residue_counts_for(profile: ApproximationProfile, qs: Iterable[int]) -> np.ndarray:
-    """Admissible numerator counts #I_q for each q under the profile pairs."""
-    out = []
-    for q in qs:
-        _, b = profile.pair(int(q))
-        out.append(residue_count(int(q), b))
-    return np.asarray(out, dtype=np.int64)

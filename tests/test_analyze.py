@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dfourier import (
     DecayBand,
@@ -24,7 +25,7 @@ from dfourier import (
     write_report_json,
     write_upper_csv,
 )
-from dfourier.analyze import DirectDensity
+from dfourier.analyze import DirectDensity, _clip_to_union, _merge_intervals
 
 
 @pytest.fixture(scope="module")
@@ -277,9 +278,81 @@ def test_witness_scan_clean(st1, st2):
     assert scan2["zero_failures"] is True
 
 
+def test_witnesses_at_two_stage_spike_centres(st2):
+    # the grid scan above finds no positive point at two stages (spikes
+    # are ~1e-8 wide), so sample the finest factor's spike centres instead
+    dd = DirectDensity(st2)
+    fine = dd.combs[-1]
+    centres = np.concatenate([
+        np.mod((np.flatnonzero(mask) + th) / q, 1.0)
+        for q, th, mask in zip(fine.qs, fine.theta, fine.masks)])
+    centres = np.sort(centres[dd.raw_value(centres) > 0.0])
+    assert len(centres) > 10_000
+    for c in centres[np.linspace(0, len(centres) - 1, 200).astype(int)]:
+        out = support_witnesses(st2, float(c), threshold=0.0, evaluator=dd)
+        assert out["verdict"] == "witnessed", out
+        assert [w["scale"] for w in out["witnesses"]] == list(st2.scales)
+
+
 # ----------------------------------------------------------------------
 # interval masses
 # ----------------------------------------------------------------------
+
+# reference implementations for the interval toolkit: plain loops that
+# walk the intervals one at a time
+def _merge_loop(lo, hi):
+    out_lo, out_hi = [lo[0]], [hi[0]]
+    for a, b in zip(lo[1:], hi[1:]):
+        if a <= out_hi[-1]:
+            out_hi[-1] = max(out_hi[-1], b)
+        else:
+            out_lo.append(a)
+            out_hi.append(b)
+    return np.asarray(out_lo), np.asarray(out_hi)
+
+
+def _intersect_loop(alo, ahi, blo, bhi):
+    out_lo, out_hi = [], []
+    i = j = 0
+    while i < len(alo) and j < len(blo):
+        lo = max(alo[i], blo[j])
+        hi = min(ahi[i], bhi[j])
+        if lo < hi:
+            out_lo.append(lo)
+            out_hi.append(hi)
+        if ahi[i] <= bhi[j]:
+            i += 1
+        else:
+            j += 1
+    return np.asarray(out_lo), np.asarray(out_hi)
+
+
+# endpoints on a coarse grid so that touching, nested, repeated and
+# zero-length intervals all come up often
+_ends = st.integers(0, 40).map(lambda k: k / 8.0)
+_family = st.lists(st.tuples(_ends, _ends).map(sorted), min_size=1,
+                   max_size=30)
+
+
+@given(family=_family, clip=st.tuples(_ends, _ends).map(sorted))
+def test_interval_toolkit_matches_loops(family, clip):
+    pairs = sorted(family, key=lambda p: p[0])
+    lo = np.array([p[0] for p in pairs])
+    hi = np.array([p[1] for p in pairs])
+    m_lo, m_hi, first = _merge_intervals(lo, hi)
+    want_lo, want_hi = _merge_loop(lo, hi)
+    assert np.array_equal(m_lo, want_lo) and np.array_equal(m_hi, want_hi)
+    # each piece starts at its first member and holds exactly the
+    # members up to the next piece's first
+    assert np.array_equal(lo[first], m_lo)
+    ends = np.r_[first[1:], len(lo)]
+    for k, (f, e) in enumerate(zip(first, ends)):
+        assert hi[f:e].max() == m_hi[k]
+    a, b = clip
+    got_lo, got_hi = _clip_to_union(a, b, m_lo, m_hi)
+    want_lo, want_hi = _intersect_loop([a], [b], m_lo, m_hi)
+    assert np.array_equal(got_lo, want_lo) and np.array_equal(got_hi, want_hi)
+
 
 def test_interval_masses_direct_vs_series(st1, dd1):
     want = {

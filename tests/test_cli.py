@@ -250,6 +250,29 @@ def test_analyze_missing_stage_file(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_analyze_corrupt_artifact_is_usage_error(st1, tmp_path, capsys):
+    good = tmp_path / "stage.bin"
+    st1.save(good)
+    raw = good.read_bytes()
+    header_flip = bytearray(raw)
+    header_flip[20] ^= 0xFF
+    cases = {
+        "random.bin": bytes(range(256)) * 16,
+        "cut.bin": raw[:-100],
+        "trailing.bin": raw + b"abc",
+        "header.bin": bytes(header_flip),
+    }
+    for name, blob in cases.items():
+        path = tmp_path / name
+        path.write_bytes(blob)
+        assert main(["analyze", str(path),
+                     "--output-dir", str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corrupt artifact {path}: "), err
+        assert "malformed config" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_csv_format(st1, tmp_path, capsys):
     stage_file = tmp_path / "stage.bin"
     st1.save(stage_file)

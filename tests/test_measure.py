@@ -1,11 +1,13 @@
 """Staged density builder: factors, scale selection, artifacts."""
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from dfourier import (
+    ArtifactError,
     BandwidthBudgetError,
     BuildConfig,
     BumpSpec,
@@ -234,6 +236,56 @@ def test_load_rejects_foreign_file(tmp_path):
     path.write_bytes(b"OGGS" + b"\x00" * 64)
     with pytest.raises(ValueError, match="not a stage artifact"):
         MeasureStage.load(path)
+
+
+@pytest.fixture(scope="module")
+def saved_st1(st1, tmp_path_factory):
+    path = tmp_path_factory.mktemp("artifact") / "stage.bin"
+    st1.save(path)
+    return path, path.read_bytes()
+
+
+@given(data=st.data())
+def test_load_rejects_cut_or_padded_artifact(saved_st1, data):
+    path, raw = saved_st1
+    if data.draw(st.booleans()):
+        keep = data.draw(st.one_of(st.integers(0, 64),
+                                   st.integers(len(raw) - 64, len(raw) - 1),
+                                   st.integers(0, len(raw) - 1)))
+        mutated = raw[:keep]
+    else:
+        mutated = raw + data.draw(st.binary(min_size=1, max_size=32))
+    bad = path.with_name("mutated.bin")
+    bad.write_bytes(mutated)
+    with pytest.raises(ArtifactError):
+        MeasureStage.load(bad)
+
+
+@given(data=st.data())
+def test_load_flipped_byte_is_artifact_error_or_loads(saved_st1, data):
+    # the coefficient values carry no checksum, so a flip there (or in a
+    # header value that stays valid) may load; anything else must raise
+    # ArtifactError, and a flip in the magic, the header length or a
+    # record's frequency index always does
+    path, raw = saved_st1
+    start = 12 + struct.unpack_from("<Q", raw, 4)[0]
+    records = (len(raw) - start) // 24
+    pos = data.draw(st.one_of(
+        st.integers(0, 11),
+        st.integers(12, start - 1),
+        st.builds(lambda i, b: start + 24 * i + b,
+                  st.integers(0, records - 1), st.integers(0, 7)),
+        st.integers(0, len(raw) - 1)))
+    flipped = bytearray(raw)
+    flipped[pos] ^= data.draw(st.integers(1, 255))
+    bad = path.with_name("flipped.bin")
+    bad.write_bytes(bytes(flipped))
+    structural = pos < 12 or (pos >= start and (pos - start) % 24 < 8)
+    try:
+        MeasureStage.load(bad)
+    except ArtifactError:
+        return
+    assert not structural
 
 
 # ----------------------------------------------------------------------
