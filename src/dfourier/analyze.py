@@ -208,6 +208,15 @@ def predicted_dimension(profile: ApproximationProfile) -> float:
     return min(2.0 * s, 1.0)
 
 
+def _fit_slope(bands) -> float:
+    """Least-squares slope of log2 band suprema against log2 band centres."""
+    if len(bands) < 2:
+        return math.nan
+    xs = np.array([0.5 * (math.log2(b.lo) + math.log2(b.hi)) for b in bands])
+    ys = np.array([math.log2(b.sup_abs) for b in bands])
+    return float(np.polyfit(xs, ys, 1)[0])
+
+
 def decay_report(stage: MeasureStage, xi_max: float | None = None,
                  samples_per_band: int | None = None,
                  fit_range: tuple = (4, None),
@@ -258,16 +267,8 @@ def decay_report(stage: MeasureStage, xi_max: float | None = None,
     used = [b for b in bands
             if fit_lo <= b.j <= fit_hi and b.certified
             and b.samples >= fit_min_samples and b.sup_abs > 0.0]
-    if len(used) >= 2:
-        xs = np.array([0.5 * (math.log2(b.lo) + math.log2(b.hi))
-                       for b in used])
-        ys = np.array([math.log2(b.sup_abs) for b in used])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        slope = math.nan
-
     return DecayReport(
-        bands=tuple(bands), fitted_slope=slope,
+        bands=tuple(bands), fitted_slope=_fit_slope(used),
         fit_bands_used=tuple(b.j for b in used),
         target_exponent=stage.eta - stage.eps,
         predicted_dimension=predicted_dimension(stage.profile),
@@ -289,13 +290,7 @@ def compare_with_window_only(report: DecayReport, base: DecayReport,
     sel = [b for b in base.bands
            if b.j in report.fit_bands_used and b.certified
            and b.sup_abs > 0.0]
-    if len(sel) >= 2:
-        xs = np.array([0.5 * (math.log2(b.lo) + math.log2(b.hi))
-                       for b in sel])
-        ys = np.array([math.log2(b.sup_abs) for b in sel])
-        base_slope = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        base_slope = math.nan
+    base_slope = _fit_slope(sel)
     flat = math.isnan(base_slope) or base_slope >= flat_cut
     ordered = None
     if flat and not math.isnan(report.fitted_slope):
@@ -327,19 +322,13 @@ class _FactorComb:
 
 def _factor_comb(profile: ApproximationProfile, eta: float,
                  scale: int) -> _FactorComb:
-    bucket = profile.bucket(eta, scale)
-    qs = bucket.members.astype(np.int64)
-    psi = profile.psi_values(qs)
-    theta = profile.theta_values(qs)
-    masks = []
-    counts = np.empty(len(qs), dtype=np.int64)
-    for i, q in enumerate(qs.tolist()):
-        a, b = profile.pair(int(q))
-        rs = residue_set(int(q), a, b)
-        masks.append(rs.mask)
-        counts[i] = rs.count
-    return _FactorComb(scale=scale, qs=qs, psi=psi, theta=theta,
-                       counts=counts, masks=tuple(masks))
+    qs = profile.bucket(eta, scale).members.astype(np.int64)
+    sets = [residue_set(q, *profile.pair(q)) for q in qs.tolist()]
+    return _FactorComb(scale=scale, qs=qs, psi=profile.psi_values(qs),
+                       theta=profile.theta_values(qs),
+                       counts=np.array([rs.count for rs in sets],
+                                       dtype=np.int64),
+                       masks=tuple(rs.mask for rs in sets))
 
 
 def _comb_value(comb: _FactorComb, bump: BumpSpec, x: np.ndarray) -> np.ndarray:
@@ -383,44 +372,95 @@ def _comb_witness(comb: _FactorComb, x: float) -> dict | None:
 
 
 def _merge_intervals(lo: np.ndarray, hi: np.ndarray):
-    """Merge a lo-sorted interval family into a disjoint union.
+    """Merge an interval family into a disjoint sorted union.
 
-    Touching intervals merge.  Returns the pieces' (lo, hi) and the index
-    of each piece's first member: a piece starts wherever lo passes the
-    running max of every earlier hi.
+    Touching intervals merge: after sorting by lo, a piece starts
+    wherever lo passes the running max of every earlier hi.
     """
     if len(lo) == 0:
-        return lo, hi, np.zeros(0, dtype=np.intp)
+        return lo, hi
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
     reach = np.maximum.accumulate(hi)
     first = np.flatnonzero(np.r_[True, lo[1:] > reach[:-1]])
-    return lo[first], np.maximum.reduceat(hi, first), first
+    return lo[first], np.maximum.reduceat(hi, first)
 
 
-def _clip_to_union(a: float, b: float, lo: np.ndarray, hi: np.ndarray):
-    """Nonempty pieces of [a, b] inside a disjoint sorted interval union."""
+def _clip_to_union(a: np.ndarray, b: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray):
+    """Nonempty pieces of each [a[k], b[k]] inside a disjoint sorted union.
+
+    Returns the owner k of every piece and the piece's ends, grouped by
+    owner in order.
+    """
     i = np.searchsorted(hi, a, side="right")
-    j = np.searchsorted(lo, b, side="left")
-    seg_lo = np.maximum(lo[i:j], a)
-    seg_hi = np.minimum(hi[i:j], b)
+    n = np.maximum(np.searchsorted(lo, b, side="left") - i, 0)
+    owner = np.repeat(np.arange(len(a)), n)
+    piece = np.arange(int(n.sum())) + np.repeat(i - np.cumsum(n) + n, n)
+    seg_lo = np.maximum(lo[piece], a[owner])
+    seg_hi = np.minimum(hi[piece], b[owner])
     keep = seg_lo < seg_hi
-    return seg_lo[keep], seg_hi[keep]
+    return owner[keep], seg_lo[keep], seg_hi[keep]
+
+
+def _wrap_copies(c: np.ndarray, r):
+    """Index and shift (0, 1 or -1) of every copy [c - r, c + r] + shift
+    of the given intervals that meets (0, 1)."""
+    k = np.tile(np.arange(len(c)), 3)
+    shift = np.repeat([0.0, 1.0, -1.0], len(c))
+    r = np.broadcast_to(r, c.shape)[k]
+    live = (c[k] - r + shift < 1.0) & (c[k] + r + shift > 0.0)
+    return k[live], shift[live]
+
+
+def _comb_spikes(comb: _FactorComb, shrink: float):
+    """Centre, rate psi/q and weight 1/(#I_q * #bucket) of every wrap
+    copy of the comb's bumps, in centre order; a bump spans
+    c + rate * [-shrink, shrink]."""
+    live = np.flatnonzero(comb.psi > 0.0)
+    p = np.concatenate([np.zeros(0, dtype=np.intp)]
+                       + [np.flatnonzero(comb.masks[i]) for i in live])
+    own = np.repeat(live, comb.counts[live])
+    q = comb.qs[own]
+    c = np.mod((p + comb.theta[own]) / q, 1.0)
+    rate = comb.psi[own] / q
+    k, shift = _wrap_copies(c, shrink * rate)
+    centre = c[k] + shift
+    order = np.argsort(centre, kind="stable")
+    k = k[order]
+    return (centre[order], rate[k],
+            1.0 / (comb.counts[own[k]] * float(len(comb.qs))))
+
+
+def _fine_spikes(combs: list, shrink: float):
+    """Spike table of the product: the finest comb's spikes that meet
+    the next-coarser comb's (the product vanishes off either), or the
+    bare window as the one spike when there is no factor."""
+    if not combs:
+        return np.array([0.5]), np.array([0.5 / shrink]), np.array([1.0])
+    c, rate, weight = _comb_spikes(combs[-1], shrink)
+    if len(combs) > 1:
+        cc, rr, _ = _comb_spikes(combs[-2], shrink)
+        lo, hi = _merge_intervals(cc - shrink * rr, cc + shrink * rr)
+        keep = np.unique(_clip_to_union(c - shrink * rate, c + shrink * rate,
+                                        lo, hi)[0])
+        c, rate, weight = c[keep], rate[keep], weight[keep]
+    return c, rate, weight
 
 
 class DirectDensity:
     """Series-free evaluator and integrator for a built measure.
 
     Point values multiply the exact factor combs with the base window.
-    Since the product vanishes off the finest factor's support, interval
-    masses integrate over its spike intervals, on one of two paths:
-
-    * the rectangular batch, for an isolated unclipped spike that lies
-      wholly inside the target: the substitution u = (x - c) q / psi
-      turns the spike's own bump into one fixed normalized rule, so the
-      bulk of the work is one batch over all such spikes;
-    * the knot path, for everything else (merged or clipped spike
-      groups, and spikes that cross a target edge): a Gauss-Legendre
-      rule between the spline knots of every factor on each piece of
-      the group clipped to the target union.
+    The product vanishes off the finest factor's spikes (the bare window
+    is the one spike of a measure without factors), so every mass is a
+    sum of per-spike masses.  A spike at centre c with rate psi/q is
+    bump(u) / rate in the coordinate u = (x - c) / rate, and its mass is
+    one Gauss-Legendre rule on the bump's own polynomial pieces, clipped
+    to the target, of bump(u) times the window and the coarser combs at
+    x = c + rate * u.  Whole-spike masses are computed once: they sum to
+    ``z``, and a target interval that holds a spike whole reuses its
+    mass, so only spikes that cross a target edge are integrated again.
     """
 
     def __init__(self, stage: MeasureStage, gl_order: int = 8):
@@ -430,83 +470,18 @@ class DirectDensity:
         self.combs = [_factor_comb(stage.profile, stage.eta, s)
                       for s in stage.scales]
         self._nodes, self._weights = leggauss(self.gl_order)
-        self._u, self._wf = self._own_bump_rule()
-        self._geom = self._fine_geometry() if self.combs else None
-        self._z = None
-
-    # -- fixed rule for one bump in normalized coordinates ----------------
-
-    def _own_bump_rule(self):
-        m = self.bump.order
-        w = self.bump.box_halfwidth
-        edges = 2.0 * w * (np.arange(m + 1, dtype=float) - m / 2.0)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        u = (mids[:, None] + w * self._nodes[None, :]).ravel()
-        wf = np.tile(w * self._weights, m) * self.bump.value(u)
-        return u, wf
-
-    # -- finest-factor geometry --------------------------------------------
-
-    def _fine_geometry(self):
-        """Merged spike intervals of the finest factor, split by kind.
-
-        Each spike is an admissible bump interval clipped to [0, 1]
-        (wrapping spikes appear once per side).  Isolated unclipped
-        spikes feed the rectangular fast path; merged or clipped ones
-        keep an explicit bump list for the generic knot path.
-        """
-        fine = self.combs[-1]
-        cs, qs, psis, cnts = [], [], [], []
-        for i in range(len(fine.qs)):
-            q = int(fine.qs[i])
-            psi = float(fine.psi[i])
-            if psi <= 0.0:
-                continue
-            p = np.nonzero(fine.masks[i])[0].astype(float)
-            c = np.mod((p + float(fine.theta[i])) / q, 1.0)
-            r = self.bump.shrink * psi / q
-            for shift in (0.0, 1.0, -1.0):
-                cc = c + shift
-                live = (cc + r > 0.0) & (cc - r < 1.0)
-                if live.any():
-                    cs.append(cc[live])
-                    qs.append(np.full(int(live.sum()), q, dtype=float))
-                    psis.append(np.full(int(live.sum()), psi))
-                    cnts.append(np.full(int(live.sum()),
-                                        float(fine.counts[i])))
-        c = np.concatenate(cs)
-        q = np.concatenate(qs)
-        psi = np.concatenate(psis)
-        cnt = np.concatenate(cnts)
-        r = self.bump.shrink * psi / q
-        lo = np.maximum(c - r, 0.0)
-        hi = np.minimum(c + r, 1.0)
-        order = np.argsort(lo, kind="stable")
-        c, q, psi, cnt = c[order], q[order], psi[order], cnt[order]
-        lo, hi, r = lo[order], hi[order], r[order]
-
-        merged_lo, merged_hi, first = _merge_intervals(lo, hi)
-        ends = np.r_[first[1:], len(lo)]
-        clipped = (c - r < 0.0) | (c + r > 1.0)
-        single = (ends - first == 1) & ~clipped[first]
-        slow = [(float(merged_lo[g]), float(merged_hi[g]),
-                 tuple((float(c[k]), float(q[k]), float(psi[k]),
-                        float(cnt[k])) for k in range(first[g], ends[g])))
-                for g in np.flatnonzero(~single)]
-        return {
-            "c": c, "q": q, "psi": psi, "cnt": cnt,
-            "fast": first[single],
-            "slow": slow,
-            "n_members": len(fine.qs),
-        }
+        self._knots = np.linspace(-self.bump.shrink, self.bump.shrink,
+                                  self.bump.order + 1)
+        self._c, self._rate, self._weight = _fine_spikes(self.combs,
+                                                         self.bump.shrink)
+        self._mass = None
 
     # -- evaluation ---------------------------------------------------------
 
-    def raw_value(self, x) -> np.ndarray:
-        """Unnormalized density: window times every factor comb."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def _product(self, x: np.ndarray, combs) -> np.ndarray:
+        """Window times the given factor combs."""
         out = np.asarray(self.bump.window_value(x), dtype=float).copy()
-        for comb in self.combs:
+        for comb in combs:
             live = out > 0.0
             if not live.any():
                 break
@@ -514,132 +489,62 @@ class DirectDensity:
             vals[live] = _comb_value(comb, self.bump, x[live])
             out = out * vals
         return out
+
+    def raw_value(self, x) -> np.ndarray:
+        """Unnormalized density: window times every factor comb."""
+        return self._product(np.atleast_1d(np.asarray(x, dtype=float)),
+                             self.combs)
 
     def value(self, x) -> np.ndarray:
         """Normalized density (unit total mass)."""
         return self.raw_value(x) / self.z
 
-    def _rest_value(self, x: np.ndarray) -> np.ndarray:
-        """Window times every comb except the finest."""
-        out = np.asarray(self.bump.window_value(x), dtype=float).copy()
-        for comb in self.combs[:-1]:
-            live = out > 0.0
-            if not live.any():
-                break
-            vals = np.zeros_like(out)
-            vals[live] = _comb_value(comb, self.bump, x[live])
-            out = out * vals
-        return out
-
     # -- integration ----------------------------------------------------
 
-    def _fast_batch(self, rows: np.ndarray, chunk: int = 16384) -> float:
-        if len(rows) == 0:
-            return 0.0
-        g = self._geom
-        total = 0.0
-        for start in range(0, len(rows), chunk):
-            sel = rows[start:start + chunk]
-            rate = g["psi"][sel] / g["q"][sel]
-            x = g["c"][sel][:, None] + rate[:, None] * self._u[None, :]
-            rest = self._rest_value(np.mod(x, 1.0).ravel())
-            per = rest.reshape(len(sel), -1) @ self._wf
-            total += float(np.sum(per / (g["cnt"][sel] * g["n_members"])))
-        return total
-
-    def _knots_in(self, a: float, b: float, own=()) -> np.ndarray:
-        """Spline knots of the window, coarse combs, and listed bumps."""
-        m = self.bump.order
-        w = self.bump.box_halfwidth
-        kk = np.arange(-(m // 2), m // 2 + 1, dtype=float)
-        pts = [np.array([a, b])]
-        for (c, q, psi, _cnt) in own:
-            pts.append(c + (psi / q) * 2.0 * w * kk)
-        for comb in self.combs[:-1]:
-            for i in range(len(comb.qs)):
-                q = int(comb.qs[i])
-                psi = float(comb.psi[i])
-                if psi <= 0.0:
-                    continue
-                th = float(comb.theta[i])
-                spacing = 2.0 * w * psi / q
-                for pr in range(math.floor(a * q - th) - 1,
-                                math.ceil(b * q - th) + 2):
-                    pts.append((pr + th) / q + spacing * kk)
-        pts.append((2.0 * w * kk / self.bump.shrink + 1.0) / 2.0)
-        cat = np.concatenate(pts)
-        cat = cat[(cat >= a) & (cat <= b)]
-        return np.unique(cat)
-
-    def _generic_segment(self, a: float, b: float, own) -> float:
-        """Integrate window * coarse combs * listed fine bumps on [a, b]."""
-        if b <= a:
-            return 0.0
-        knots = self._knots_in(a, b, own)
-        if len(knots) < 2:
-            knots = np.array([a, b])
-        x0, x1 = knots[:-1], knots[1:]
-        half = 0.5 * (x1 - x0)
-        mid = 0.5 * (x1 + x0)
-        nodes = (mid[:, None] + half[:, None] * self._nodes[None, :]).ravel()
-        vals = self._rest_value(nodes)
-        if own:
-            fine_vals = np.zeros_like(nodes)
-            for (c, q, psi, cnt) in own:
-                u = (nodes - c) * q / psi
-                inside = np.abs(u) < self.bump.shrink
-                if inside.any():
-                    fine_vals[inside] += (self.bump.value(u[inside])
-                                          * (q / psi) / cnt)
-            vals = vals * fine_vals / self._geom["n_members"]
-        vals = vals.reshape(len(mid), -1)
-        return float(np.sum(half * (vals @ self._weights)))
+    def _spike_mass(self, rows: np.ndarray, ua: np.ndarray, ub: np.ndarray,
+                    chunk: int = 4096) -> np.ndarray:
+        """Mass of each listed spike over u in [ua, ub]."""
+        out = np.empty(len(rows))
+        for s in range(0, len(rows), chunk):
+            sl = slice(s, s + chunk)
+            a = np.maximum(self._knots[:-1], ua[sl, None])
+            b = np.minimum(self._knots[1:], ub[sl, None])
+            half = np.maximum(0.5 * (b - a), 0.0)
+            u = (0.5 * (a + b))[..., None] + half[..., None] * self._nodes
+            f = self.bump.value(u)
+            if self.combs:
+                r = rows[sl, None, None]
+                x = (self._c[r] + self._rate[r] * u).ravel()
+                f = f * self._product(x, self.combs[:-1]).reshape(u.shape)
+            out[sl] = self._weight[rows[sl]] * np.sum(
+                half * (f @ self._weights), axis=1)
+        return out
 
     @property
     def z(self) -> float:
-        """Normalization integral of the unnormalized product."""
-        if self._z is None:
-            if self._geom is None:
-                self._z = 1.0  # the bare window integrates to one
-            else:
-                total = self._fast_batch(self._geom["fast"])
-                for (a, b, own) in self._geom["slow"]:
-                    total += self._generic_segment(a, b, own)
-                self._z = total
-        return self._z
+        """Normalization integral: the sum of the whole-spike masses."""
+        if self._mass is None:
+            n, s = len(self._c), self.bump.shrink
+            self._mass = (self._spike_mass(np.arange(n), np.full(n, -s),
+                                           np.full(n, s))
+                          if self.combs else np.ones(1))  # h0 has mass 1
+        return float(np.sum(self._mass))
 
     def measure_of_intervals(self, lo, hi) -> float:
         """Normalized mass of a disjoint sorted interval union in [0, 1]."""
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        if len(lo) == 0:
-            return 0.0
-        g = self._geom
-        if g is None:
-            total, groups = 0.0, [(0.0, 1.0, ())]
-        else:
-            # spikes wholly inside one target interval go to the batch;
-            # those that cross an edge join the merged groups as
-            # one-member groups and take the knot path clipped to the union
-            fast = g["fast"]
-            r = self.bump.shrink * g["psi"][fast] / g["q"][fast]
-            s_lo = g["c"][fast] - r
-            s_hi = g["c"][fast] + r
-            j = np.searchsorted(lo, s_lo, side="right") - 1
-            jj = np.maximum(j, 0)
-            inside = (j >= 0) & (lo[jj] <= s_lo) & (s_hi <= hi[jj])
-            overlaps = np.flatnonzero(
-                ~inside & (np.searchsorted(lo, s_hi, "left")
-                           > np.searchsorted(hi, s_lo, "right")))
-            total = self._fast_batch(fast[inside])
-            groups = [(s_lo[i], s_hi[i],
-                       ((float(g["c"][k]), float(g["q"][k]),
-                         float(g["psi"][k]), float(g["cnt"][k])),))
-                      for i, k in zip(overlaps, fast[overlaps])] + g["slow"]
-        for a, b, own in groups:
-            for aa, bb in zip(*_clip_to_union(a, b, lo, hi)):
-                total += self._generic_segment(float(aa), float(bb), own)
-        return total / self.z
+        z = self.z  # also caches the whole-spike masses
+        r = self.bump.shrink * self._rate
+        s_lo, s_hi = self._c - r, self._c + r
+        k, a, b = _clip_to_union(s_lo, s_hi, lo, hi)
+        whole = (a == s_lo[k]) & (b == s_hi[k])
+        cut = k[~whole]
+        rate = self._rate[cut]
+        total = np.sum(self._mass[k[whole]]) + np.sum(
+            self._spike_mass(cut, (a[~whole] - self._c[cut]) / rate,
+                             (b[~whole] - self._c[cut]) / rate))
+        return float(total) / z
 
 
 # ----------------------------------------------------------------------
@@ -702,25 +607,12 @@ def _target_intervals(profile: ApproximationProfile, q: int):
     if psi <= 0.0:
         return np.array([]), np.array([]), 0
     theta = float(profile.theta_of(q))
-    a, b = profile.pair(q)
-    rs = residue_set(q, a, b)
-    if rs.count == 0:
-        return np.array([]), np.array([]), 0
+    rs = residue_set(q, *profile.pair(q))
     c = np.mod((rs.members.astype(float) + theta) / q, 1.0)
     r = psi / q
-    lo, hi = c - r, c + r
-    parts_lo = [np.maximum(lo, 0.0),
-                np.where(lo < 0.0, lo + 1.0, 2.0),
-                np.where(hi > 1.0, 0.0, 2.0)]
-    parts_hi = [np.minimum(hi, 1.0),
-                np.where(lo < 0.0, 1.0, 2.0),
-                np.where(hi > 1.0, hi - 1.0, 2.0)]
-    lo = np.concatenate(parts_lo)
-    hi = np.concatenate(parts_hi)
-    keep = (lo < 1.5) & (hi > lo)
-    lo, hi = lo[keep], hi[keep]
-    order = np.argsort(lo, kind="stable")
-    lo, hi, _ = _merge_intervals(lo[order], hi[order])
+    k, shift = _wrap_copies(c, r)
+    lo, hi = _merge_intervals(np.maximum(c[k] - r + shift, 0.0),
+                              np.minimum(c[k] + r + shift, 1.0))
     return lo, hi, rs.count
 
 
@@ -729,8 +621,9 @@ def measure_of_Aq(stage: MeasureStage, q: int, method: str = "direct",
                   mc_samples: int = 0, seed: int = 0) -> float:
     """Mass the built measure gives the modulus-q approximation set.
 
-    ``direct`` integrates the exact product density piecewise over the
-    interval union and is the certified route.  ``series`` pairs the
+    ``direct`` sums the exact product density's per-spike masses over
+    the interval union (``DirectDensity.measure_of_intervals``) and is
+    the certified route.  ``series`` pairs the
     stored density block with the closed-form interval transform; it
     inherits the block's truncation error and is kept as a cross-check.
     A positive ``mc_samples`` switches to a seeded stratified
@@ -821,7 +714,7 @@ def borel_cantelli_report(stage: MeasureStage, s: float | None = None,
         if len(lo) == 0:
             continue
         psi = float(profile.psi_values(np.array([q]))[0])
-        measured = measure_of_Aq(stage, int(q), evaluator=dd)
+        measured = dd.measure_of_intervals(lo, hi)
         bound = 2.0 * psi * (count / q) + (psi / q) ** (s - eps)
         ratio = measured / bound if bound > 0.0 else math.inf
         constant = max(constant, ratio)

@@ -7,25 +7,42 @@ strictly inside (-1, 1), while its transform is exactly ``sinc(2*w*xi)**m``
 and therefore obeys the elementary envelope ``min(1, (2*pi*w*|xi|)**-m)``.
 Every decay estimate downstream reduces to sums of that envelope, so the
 tail helpers here are the single source of truth for truncation bounds.
+
+On the space side the kernel is an exact piecewise polynomial: its
+pieces come from the truncated-power formula in exact rationals, and
+only the rising half is stored because the kernel is even.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 TWO_PI = 2.0 * math.pi
 
 
 @lru_cache(maxsize=64)
-def _cardinal_spline(order: int) -> BSpline:
-    # B-spline basis element on uniform knots -m/2 .. m/2 is exactly the
-    # m-fold self-convolution of the unit box 1_{[-1/2,1/2]}.
-    knots = np.arange(order + 1, dtype=float) - order / 2.0
-    return BSpline.basis_element(knots, extrapolate=False)
+def _rising_pieces(m: int) -> np.ndarray:
+    """Horner coefficients of the rising half of the cardinal B-spline.
+
+    At distance t from its left edge the m-fold self-convolution of the
+    unit box is sum_k (-1)^k C(m, k) (t - k)_+^(m-1) / (m-1)!.  Column j,
+    j < (m + 1) // 2, is that polynomial on [j, j+1) in u = t - j,
+    highest power first; for odd m the last column is the centre piece.
+    """
+    rows = []
+    for j in range((m + 1) // 2):
+        coef = [Fraction(0)] * m  # coef[i] multiplies u**i
+        for k in range(j + 1):
+            sign = (-1) ** k * math.comb(m, k)
+            for i in range(m):
+                coef[i] += (sign * math.comb(m - 1, i)
+                            * Fraction(j - k) ** (m - 1 - i))
+        rows.append([float(c / math.factorial(m - 1)) for c in reversed(coef)])
+    return np.array(rows).T
 
 
 @dataclass(frozen=True)
@@ -80,15 +97,22 @@ class BumpSpec:
     def value(self, x):
         """Evaluate the kernel; zero outside (-shrink, shrink).
 
-        Accepts scalars or arrays and returns matching float64 output.
+        Exact piecewise polynomial in t = m/2 - |x|/(2w), the distance
+        in box widths from the nearer support edge, by Horner's rule, so
+        values keep relative accuracy up to the edge.  Accepts scalars
+        or arrays and returns matching float64 output.
         """
         m = self.order
         w = self.box_halfwidth
-        t = np.asarray(x, dtype=float) / (2.0 * w)
-        out = np.asarray(_cardinal_spline(m)(t), dtype=float)
-        out = np.where(np.isnan(out), 0.0, out) / (2.0 * w)
-        # basis_element can return tiny negatives at the support edge
-        out = np.maximum(out, 0.0)
+        t = m / 2.0 - np.abs(np.asarray(x, dtype=float)) / (2.0 * w)
+        j = np.clip(np.floor(t), 0, (m - 1) // 2)
+        u = t - j
+        j = j.astype(np.intp)
+        pieces = _rising_pieces(m)
+        acc = pieces[0][j]
+        for row in pieces[1:]:
+            acc = acc * u + row[j]
+        out = np.where(t > 0.0, acc, 0.0) / (2.0 * w)
         if out.ndim == 0:
             return float(out)
         return out

@@ -57,8 +57,7 @@ class RunConfig:
 
     ``profile`` holds the nested profile descriptor.  ``eta = None``
     defers to the builder default (0.9 times the critical exponent).
-    The remaining keys mirror the builder and analyzer knobs; ``seed``
-    feeds any Monte-Carlo cross-check so reruns are reproducible.
+    The remaining keys mirror the builder and analyzer knobs.
     """
     profile: dict | None = None
     eta: float | None = None
@@ -73,7 +72,6 @@ class RunConfig:
     kernel_halfwidth: int = 64
     band_margin: int = 512
     workers: int | None = None
-    seed: int = 0
     upper_q_max: int = 500
 
     def validate(self) -> None:
@@ -325,7 +323,6 @@ def _add_config_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--kernel-halfwidth", dest="kernel_halfwidth", type=int)
     sp.add_argument("--band-margin", dest="band_margin", type=int)
     sp.add_argument("--workers", type=int)
-    sp.add_argument("--seed", type=int)
     sp.add_argument("--upper-q-max", dest="upper_q_max", type=int)
 
 

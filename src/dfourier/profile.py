@@ -100,6 +100,12 @@ class ApproximationProfile:
         object.__setattr__(self, "pair_table",
                            tuple(sorted((int(q), (int(ab[0]), int(ab[1])))
                                         for q, ab in items)))
+        # lookups built once; plain attributes, so equality, repr and
+        # hashing still see only the fields
+        for name, table in (("_psi", self.psi_table),
+                            ("_theta", self.theta_table),
+                            ("_pair", self.pair_table)):
+            object.__setattr__(self, name, dict(table))
         object.__setattr__(self, "member_list",
                            tuple(sorted(int(q) for q in self.member_list)))
         object.__setattr__(self, "member_classes",
@@ -167,8 +173,7 @@ class ApproximationProfile:
             mask &= np.isin(qs % self.member_modulus,
                             np.asarray(self.member_classes, dtype=np.int64))
         if self.psi_kind == "table":
-            mask &= np.isin(qs, np.fromiter((q for q, _ in self.psi_table),
-                                            dtype=np.int64, count=len(self.psi_table)))
+            mask &= np.isin(qs, list(self._psi))
         return mask
 
     def members(self) -> np.ndarray:
@@ -185,22 +190,21 @@ class ApproximationProfile:
         if self.psi_kind == "power_law":
             vals = np.where(mask, np.asarray(qs, dtype=float) ** (-self.tau), 0.0)
         else:
-            lookup = dict(self.psi_table)
-            vals = np.array([lookup.get(int(q), 0.0) if m else 0.0
+            vals = np.array([self._psi.get(int(q), 0.0) if m else 0.0
                              for q, m in zip(qs, mask)], dtype=float)
         return vals
 
     def theta_of(self, q: int) -> float:
         if self.theta_kind == "constant":
             return self.theta_value
-        return float(dict(self.theta_table).get(int(q), 0.0))
+        return float(self._theta.get(int(q), 0.0))
 
     def theta_values(self, qs: np.ndarray) -> np.ndarray:
         qs = np.asarray(qs, dtype=np.int64)
         if self.theta_kind == "constant":
             return np.full(len(qs), self.theta_value)
-        lookup = dict(self.theta_table)
-        return np.array([lookup.get(int(q), 0.0) for q in qs], dtype=float)
+        return np.array([self._theta.get(int(q), 0.0) for q in qs],
+                        dtype=float)
 
     def pair(self, q: int) -> tuple[int, int]:
         """Coprimality pair (a, b) for denominator q."""
@@ -208,7 +212,7 @@ class ApproximationProfile:
             return (0, 1)
         if self.coprime_kind == "unrestricted":
             return (1, int(q))
-        return dict(self.pair_table).get(int(q), (0, 1))
+        return self._pair.get(int(q), (0, 1))
 
     # -- serialization ---------------------------------------------------
 

@@ -11,9 +11,20 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import BandwidthBudgetError
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 2-3-5-7-11-smooth integer >= n, a fast FFT length."""
+    while True:
+        k = n
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
 
 
 @dataclass(frozen=True)
@@ -117,9 +128,10 @@ def series_multiply(a: TruncatedFourierSeries, b: TruncatedFourierSeries,
 
     The result band is [-(La+Lb), La+Lb]; when ``budget`` is given and
     the band would need more than that many coefficients, raise
-    ``BandwidthBudgetError`` instead of allocating.  The tail bound is
-    the cross formula, a true bound for the product of the two periodic
-    functions.
+    ``BandwidthBudgetError`` instead of allocating.  The convolution is a
+    zero-padded FFT product at the next fast length (a direct one when
+    either factor is a single coefficient).  The tail bound is the cross
+    formula, a true bound for the product of the two periodic functions.
     """
     width = len(a.coeffs) + len(b.coeffs) - 1
     if budget is not None and width > budget:
@@ -127,7 +139,9 @@ def series_multiply(a: TruncatedFourierSeries, b: TruncatedFourierSeries,
     if len(a.coeffs) == 1 or len(b.coeffs) == 1:
         coeffs = np.convolve(a.coeffs, b.coeffs)
     else:
-        coeffs = fftconvolve(a.coeffs, b.coeffs)
+        n = _fast_len(width)
+        coeffs = np.fft.ifft(np.fft.fft(a.coeffs, n)
+                             * np.fft.fft(b.coeffs, n))[:width]
     tail = (a.tail_bound * b.l1_norm() + b.tail_bound * a.l1_norm()
             + a.tail_bound * b.tail_bound)
     return TruncatedFourierSeries(coeffs, tail)

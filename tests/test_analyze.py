@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dfourier import (
     DecayBand,
@@ -25,7 +25,8 @@ from dfourier import (
     write_report_json,
     write_upper_csv,
 )
-from dfourier.analyze import DirectDensity, _clip_to_union, _merge_intervals
+from dfourier.analyze import (DirectDensity, _clip_to_union, _merge_intervals,
+                              _target_intervals)
 
 
 @pytest.fixture(scope="module")
@@ -243,7 +244,7 @@ def test_predicted_dimension_closed_form(reference_profile):
 def test_direct_normalization_agrees(st0, st1, st2, dd1):
     assert DirectDensity(st0).z == 1.0
     assert dd1.z == pytest.approx(st1.normalization, abs=1e-12)
-    assert DirectDensity(st2).z == pytest.approx(st2.normalization, abs=1e-9)
+    assert DirectDensity(st2).z == pytest.approx(st2.normalization, rel=1e-12)
 
 
 def test_witnesses_at_a_support_point(st1, dd1):
@@ -334,24 +335,69 @@ _family = st.lists(st.tuples(_ends, _ends).map(sorted), min_size=1,
                    max_size=30)
 
 
-@given(family=_family, clip=st.tuples(_ends, _ends).map(sorted))
-def test_interval_toolkit_matches_loops(family, clip):
+@given(family=_family, clips=_family)
+def test_interval_toolkit_matches_loops(family, clips):
     pairs = sorted(family, key=lambda p: p[0])
-    lo = np.array([p[0] for p in pairs])
-    hi = np.array([p[1] for p in pairs])
-    m_lo, m_hi, first = _merge_intervals(lo, hi)
-    want_lo, want_hi = _merge_loop(lo, hi)
+    m_lo, m_hi = _merge_intervals(np.array([p[0] for p in family]),
+                                  np.array([p[1] for p in family]))
+    want_lo, want_hi = _merge_loop([p[0] for p in pairs],
+                                   [p[1] for p in pairs])
     assert np.array_equal(m_lo, want_lo) and np.array_equal(m_hi, want_hi)
-    # each piece starts at its first member and holds exactly the
-    # members up to the next piece's first
-    assert np.array_equal(lo[first], m_lo)
-    ends = np.r_[first[1:], len(lo)]
-    for k, (f, e) in enumerate(zip(first, ends)):
-        assert hi[f:e].max() == m_hi[k]
-    a, b = clip
-    got_lo, got_hi = _clip_to_union(a, b, m_lo, m_hi)
-    want_lo, want_hi = _intersect_loop([a], [b], m_lo, m_hi)
-    assert np.array_equal(got_lo, want_lo) and np.array_equal(got_hi, want_hi)
+    # many [a, b] at once, unsorted and overlapping, each against the loop
+    a = np.array([c[0] for c in clips])
+    b = np.array([c[1] for c in clips])
+    owner, got_lo, got_hi = _clip_to_union(a, b, m_lo, m_hi)
+    assert np.all(np.diff(owner) >= 0)
+    for k in range(len(a)):
+        want_lo, want_hi = _intersect_loop([a[k]], [b[k]], m_lo, m_hi)
+        assert np.array_equal(got_lo[owner == k], want_lo)
+        assert np.array_equal(got_hi[owner == k], want_hi)
+
+
+@pytest.mark.parametrize("theta", [0.0005, 0.9995])
+def test_target_intervals_wrap_across_the_ends(theta):
+    # the p = 0 interval crosses 0 (small theta) or the p = q - 1 one
+    # crosses 1 (theta near 1); either must come back at both ends
+    prof = power_law_profile(2.0, 1000, q_min=2, theta=theta,
+                             coprime="unrestricted")
+    for q in (5, 12):
+        lo, hi, count = _target_intervals(prof, q)
+        assert count == q and lo[0] == 0.0 and hi[-1] == 1.0
+        assert (hi - lo).sum() == pytest.approx(2.0 * count * q ** -3.0,
+                                                rel=1e-12)
+
+
+def _composite_mass(dd, lo, hi, h=2.0 ** -17):
+    # oracle: 8-point Gauss-Legendre on panels of width <= h, blind to
+    # every knot; h is ~1/20 of the narrowest one-stage bump piece
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    total = 0.0
+    for a, b in zip(lo, hi):
+        edges = np.linspace(a, b, max(1, math.ceil((b - a) / h)) + 1)
+        half = 0.5 * np.diff(edges)
+        x = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * nodes
+        total += float(np.sum(half * (dd.raw_value(x.ravel()).reshape(
+            x.shape) @ weights)))
+    return total
+
+
+# unions whose ends fall anywhere, so they cut spikes, and often on 0 or 1
+_union_ends = st.lists(st.one_of(st.sampled_from([0.0, 1.0]),
+                                 st.floats(0.0, 1.0)),
+                       min_size=2, max_size=8, unique=True)
+
+
+@settings(max_examples=25)
+@given(ends=_union_ends)
+def test_interval_mass_matches_composite_quadrature(st0, st1, dd1, ends):
+    ends = sorted(ends)[:len(ends) // 2 * 2]
+    lo, hi = np.array(ends[0::2]), np.array(ends[1::2])
+    for stage, dd in ((st0, DirectDensity(st0)), (st1, dd1)):
+        want = _composite_mass(dd, lo, hi) / stage.normalization
+        # abs: a sliver of a bump's tail, where the knot-blind oracle
+        # loses its relative accuracy
+        assert dd.measure_of_intervals(lo, hi) == pytest.approx(
+            want, rel=1e-10, abs=1e-15)
 
 
 def test_interval_masses_direct_vs_series(st1, dd1):

@@ -1,5 +1,6 @@
 """Smoothing kernel and banded series layer: closed forms vs brute force."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,6 +55,34 @@ def test_value_scalar_matches_array():
     arr = BUMP.value(np.array(xs))
     for x, a in zip(xs, arr):
         assert BUMP.value(x) == a
+
+
+def _truncated_power(m: int, t: Fraction) -> Fraction:
+    # the order-m cardinal B-spline at distance t from its left edge
+    return sum((-1) ** k * math.comb(m, k) * (t - k) ** (m - 1)
+               for k in range(m + 1) if t > k) / math.factorial(m - 1)
+
+
+@pytest.mark.parametrize("order", [3, 5, 12])
+def test_value_matches_exact_truncated_power(order):
+    bump = BumpSpec(smoothness=order - 2)
+    w = Fraction(bump.box_halfwidth)
+    s = bump.shrink
+    rng = np.random.default_rng(order)
+    xs = np.concatenate([
+        rng.uniform(-s, s, 300),
+        s - rng.uniform(0.0, 1e-12, 20),  # within 1e-12 of the edge
+        -s + rng.uniform(0.0, 1e-12, 20),
+        bump.box_halfwidth * 2.0 * (np.arange(order + 1) - order / 2.0),
+        [0.0, s, -s, 1.0]])
+    got = bump.value(xs)
+    want = np.array([float(_truncated_power(order, order / Fraction(2)
+                                            - abs(Fraction(x)) / (2 * w))
+                           / (2 * w)) for x in xs])
+    peak = float(want.max())
+    assert np.all(np.abs(got - want) <= 1e-15 * peak)
+    core = np.abs(xs) <= 0.9 * s
+    assert np.all(np.abs(got - want)[core] <= 1e-13 * want[core])
 
 
 # ----------------------------------------------------------------------

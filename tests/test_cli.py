@@ -1,6 +1,9 @@
 """End-to-end command line checks driven through main()."""
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -311,3 +314,15 @@ def test_config_validation_messages(tmp_path, capsys):
     cfg = tiny_config(tmp_path, 50, name="badeta.json", eta=1.2)
     assert main(["buckets", "--config", cfg]) == EXIT_USAGE
     assert "eta" in capsys.readouterr().err
+
+
+def test_import_pulls_in_no_scipy():
+    # numpy is the only runtime dependency
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, dfourier.cli; print(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
