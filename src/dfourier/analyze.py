@@ -27,13 +27,15 @@ from .measure import (MeasureStage, build_xi_grid, factor_tail_profiles,
 from .measure import envelope_tail  # noqa: F401
 from .profile import ApproximationProfile
 
+_SPIKE_CHUNK = 4096         # spikes integrated per batch
+_INCREMENT_CUTOFF = 400     # the upper report's increments are taken past it
+
 
 # ----------------------------------------------------------------------
 # transform sampling
 # ----------------------------------------------------------------------
 
-def transform_samples(stage: MeasureStage, xi_grid: np.ndarray,
-                      kernel_halfwidth: int | None = None) -> np.ndarray:
+def transform_samples(stage: MeasureStage, xi_grid: np.ndarray) -> np.ndarray:
     """Measure transform at quarter-integer frequencies.
 
     nu-hat is the transform of the stored g-product times the window h0,
@@ -41,13 +43,11 @@ def transform_samples(stage: MeasureStage, xi_grid: np.ndarray,
     for the stored block up to the kernel cut (see
     ``sampling_remainder``).
     """
-    d_h = kernel_halfwidth or stage.config.kernel_halfwidth
     return window_samples(stage.gfactors.coeffs, xi_grid, stage.config.bump,
-                          d_h)
+                          stage.config.kernel_halfwidth)
 
 
-def sampling_remainder(stage: MeasureStage,
-                       kernel_halfwidth: int | None = None) -> float:
+def sampling_remainder(stage: MeasureStage) -> float:
     """Bound on the part of each sample lost to the kernel cut.
 
     Only stored coefficients enter the convolution, so the cut loses
@@ -55,7 +55,7 @@ def sampling_remainder(stage: MeasureStage,
     absence is priced separately by the slice term in
     ``pointwise_error_bound``.
     """
-    d_h = int(kernel_halfwidth or stage.config.kernel_halfwidth)
+    d_h = stage.config.kernel_halfwidth
     gf = stage.gfactors
     bump = stage.config.bump
     linf = float(np.max(np.abs(gf.coeffs)))
@@ -63,8 +63,8 @@ def sampling_remainder(stage: MeasureStage,
                2.0 * linf * bump.window_tail_sum(d_h - 1))
 
 
-def pointwise_error_bound(stage: MeasureStage, xi_top: float | None = None,
-                          octaves: int = 40) -> float:
+def pointwise_error_bound(stage: MeasureStage,
+                          xi_top: float | None = None) -> float:
     """Certified |sampled - true| bound valid at every |xi| <= xi_top.
 
     A factor coefficient dropped at frequency l only reaches a probe
@@ -106,7 +106,7 @@ def pointwise_error_bound(stage: MeasureStage, xi_top: float | None = None,
             T_i, T_j = rows[i][2], rows[j][2]
             acc = 0.0
             lo, t_lo = bands[j] + 1, tails[j]
-            for _ in range(octaves):
+            for _ in range(40):
                 hi = 2 * lo
                 t_hi = T_j(hi)
                 start = max(bands[i] + 1, int(lo - top) - d_h)
@@ -219,13 +219,12 @@ def _fit_slope(bands) -> float:
 
 def decay_report(stage: MeasureStage, xi_max: float | None = None,
                  samples_per_band: int | None = None,
-                 fit_range: tuple = (4, None),
-                 fit_min_samples: int = 4) -> DecayReport:
+                 fit_range: tuple = (4, None)) -> DecayReport:
     """Band suprema of |nu-hat|, slope fit, and the headline comparison.
 
     Bands whose supremum does not clear the certified pointwise error
     floor, or that the stored block cannot cover, are flagged
-    uncertified and excluded from the fit.
+    uncertified; they and bands of fewer than 4 samples stay out of the fit.
     """
     cfg = stage.config
     if xi_max is None:
@@ -266,7 +265,7 @@ def decay_report(stage: MeasureStage, xi_max: float | None = None,
     fit_hi = fit_range[1] if fit_range[1] is not None else j_max - 1
     used = [b for b in bands
             if fit_lo <= b.j <= fit_hi and b.certified
-            and b.samples >= fit_min_samples and b.sup_abs > 0.0]
+            and b.samples >= 4 and b.sup_abs > 0.0]
     return DecayReport(
         bands=tuple(bands), fitted_slope=_fit_slope(used),
         fit_bands_used=tuple(b.j for b in used),
@@ -277,8 +276,7 @@ def decay_report(stage: MeasureStage, xi_max: float | None = None,
         stages=stage.stages, requested_stages=stage.requested_stages)
 
 
-def compare_with_window_only(report: DecayReport, base: DecayReport,
-                             flat_cut: float = -0.05) -> dict:
+def compare_with_window_only(report: DecayReport, base: DecayReport) -> dict:
     """Sanity ordering of a staged fit against the window-only report.
 
     Refits the window-only band suprema over exactly the staged fit's
@@ -291,7 +289,7 @@ def compare_with_window_only(report: DecayReport, base: DecayReport,
            if b.j in report.fit_bands_used and b.certified
            and b.sup_abs > 0.0]
     base_slope = _fit_slope(sel)
-    flat = math.isnan(base_slope) or base_slope >= flat_cut
+    flat = math.isnan(base_slope) or base_slope >= -0.05
     ordered = None
     if flat and not math.isnan(report.fitted_slope):
         effective = 0.0 if math.isnan(base_slope) else base_slope
@@ -456,20 +454,19 @@ class DirectDensity:
     is the one spike of a measure without factors), so every mass is a
     sum of per-spike masses.  A spike at centre c with rate psi/q is
     bump(u) / rate in the coordinate u = (x - c) / rate, and its mass is
-    one Gauss-Legendre rule on the bump's own polynomial pieces, clipped
-    to the target, of bump(u) times the window and the coarser combs at
-    x = c + rate * u.  Whole-spike masses are computed once: they sum to
-    ``z``, and a target interval that holds a spike whole reuses its
-    mass, so only spikes that cross a target edge are integrated again.
+    an 8-node Gauss-Legendre rule on each of the bump's polynomial pieces,
+    clipped to the target, of bump(u) times the window and the coarser
+    combs at x = c + rate * u.  Whole-spike masses are computed once: they
+    sum to ``z``, and a target interval that holds a spike whole reuses
+    its mass, so only spikes that cross a target edge are integrated again.
     """
 
-    def __init__(self, stage: MeasureStage, gl_order: int = 8):
+    def __init__(self, stage: MeasureStage):
         self.stage = stage
         self.bump = stage.config.bump
-        self.gl_order = int(gl_order)
         self.combs = [_factor_comb(stage.profile, stage.eta, s)
                       for s in stage.scales]
-        self._nodes, self._weights = leggauss(self.gl_order)
+        self._nodes, self._weights = leggauss(8)
         self._knots = np.linspace(-self.bump.shrink, self.bump.shrink,
                                   self.bump.order + 1)
         self._c, self._rate, self._weight = _fine_spikes(self.combs,
@@ -501,12 +498,12 @@ class DirectDensity:
 
     # -- integration ----------------------------------------------------
 
-    def _spike_mass(self, rows: np.ndarray, ua: np.ndarray, ub: np.ndarray,
-                    chunk: int = 4096) -> np.ndarray:
+    def _spike_mass(self, rows: np.ndarray, ua: np.ndarray,
+                    ub: np.ndarray) -> np.ndarray:
         """Mass of each listed spike over u in [ua, ub]."""
         out = np.empty(len(rows))
-        for s in range(0, len(rows), chunk):
-            sl = slice(s, s + chunk)
+        for s in range(0, len(rows), _SPIKE_CHUNK):
+            sl = slice(s, s + _SPIKE_CHUNK)
             a = np.maximum(self._knots[:-1], ua[sl, None])
             b = np.minimum(self._knots[1:], ub[sl, None])
             half = np.maximum(0.5 * (b - a), 0.0)
@@ -687,21 +684,20 @@ class UpperBoundReport:
 
 
 def borel_cantelli_report(stage: MeasureStage, s: float | None = None,
-                          eps: float | None = None, n_max: int = 500,
-                          increment_cutoff: int = 400,
-                          gl_order: int = 8) -> UpperBoundReport:
+                          eps: float | None = None,
+                          n_max: int = 500) -> UpperBoundReport:
     """Per-q masses against 2 psi (#I_q / q) + (psi/q)^(s - eps).
 
     Records the one empirical constant (largest measured-to-bound
     ratio), partial sums of both sides, and the largest measured
-    increment past the cutoff.
+    increment past q = ``_INCREMENT_CUTOFF``.
     """
     profile = stage.profile
     if s is None:
         s = stage.s_value
     if eps is None:
         eps = stage.eps
-    dd = DirectDensity(stage, gl_order=gl_order)
+    dd = DirectDensity(stage)
     rows = []
     constant = 0.0
     measured_sum = 0.0
@@ -720,7 +716,7 @@ def borel_cantelli_report(stage: MeasureStage, s: float | None = None,
         constant = max(constant, ratio)
         measured_sum += measured
         bound_sum += bound
-        if q > increment_cutoff:
+        if q > _INCREMENT_CUTOFF:
             worst_inc = max(worst_inc, measured)
         rows.append({"q": int(q), "intervals": int(len(lo)),
                      "total_length": float((hi - lo).sum()),
@@ -731,7 +727,7 @@ def borel_cantelli_report(stage: MeasureStage, s: float | None = None,
         series_partial=float(bound_sum),
         measured_partial=float(measured_sum),
         max_increment_beyond=float(worst_inc),
-        increment_cutoff=int(increment_cutoff),
+        increment_cutoff=_INCREMENT_CUTOFF,
         s_used=float(s), eps_used=float(eps), z_direct=float(dd.z))
 
 

@@ -51,13 +51,20 @@ BUILD_LOG = "build_log.json"
 # run configuration
 # ----------------------------------------------------------------------
 
+# integer keys and their least valid values
+_INT_FLOORS = (("stages", 0), ("bandwidth_budget", 1), ("samples_per_band", 1),
+               ("kernel_halfwidth", 1), ("band_margin", 0), ("upper_q_max", 2))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run needs, serializable as one flat JSON object.
 
     ``profile`` holds the nested profile descriptor.  ``eta = None``
     defers to the builder default (0.9 times the critical exponent).
-    The remaining keys mirror the builder and analyzer knobs.
+    ``upper_q_max`` bounds the upper report's moduli; the other numeric
+    keys but ``eps`` and ``stages`` are ``BuildConfig`` fields.
+    ``validate`` rejects a value of the wrong type or out of range.
     """
     profile: dict | None = None
     eta: float | None = None
@@ -71,27 +78,35 @@ class RunConfig:
     samples_per_band: int = 32
     kernel_halfwidth: int = 64
     band_margin: int = 512
-    workers: int | None = None
     upper_q_max: int = 500
 
     def validate(self) -> None:
         if self.format not in ("json", "csv"):
             raise ProfileError(f"unknown output format {self.format!r}")
-        for name in ("eps", "xi_max", "tail_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ProfileError(f"config key {name} must be positive")
+        if not isinstance(self.output_dir, str):
+            raise ProfileError("config key output_dir must be a string")
+        for name, least in _INT_FLOORS:
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ProfileError(
+                    f"config key {name} must be an integer >= {least}")
+        for name in ("eta", "eps", "xi_max", "tail_tol"):
+            value = getattr(self, name)
+            if (type(value) not in (int, float) or not math.isfinite(value)) \
+                    and not (name == "eta" and value is None):
+                raise ProfileError(f"config key {name} must be a number")
+        if not (self.eps > 0.0 and self.tail_tol > 0.0 and self.xi_max >= 1):
+            raise ProfileError("config keys eps and tail_tol must be positive "
+                               "and xi_max at least 1")
         if self.eta is not None and not 0.0 < self.eta < 1.0:
             raise ProfileError("config key eta must lie in (0, 1)")
-        if self.stages < 0 or self.bandwidth_budget < 1:
-            raise ProfileError("stages and bandwidth_budget must be nonnegative")
 
     def build_config(self) -> BuildConfig:
-        workers = self.workers if self.workers else os.cpu_count() or 1
         return BuildConfig(
             xi_max=int(self.xi_max), samples_per_band=self.samples_per_band,
             tail_tol=self.tail_tol, bandwidth_budget=self.bandwidth_budget,
             kernel_halfwidth=self.kernel_halfwidth,
-            band_margin=self.band_margin, workers=workers)
+            band_margin=self.band_margin)
 
 
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
@@ -322,7 +337,6 @@ def _add_config_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--samples-per-band", dest="samples_per_band", type=int)
     sp.add_argument("--kernel-halfwidth", dest="kernel_halfwidth", type=int)
     sp.add_argument("--band-margin", dest="band_margin", type=int)
-    sp.add_argument("--workers", type=int)
     sp.add_argument("--upper-q-max", dest="upper_q_max", type=int)
 
 

@@ -26,8 +26,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +49,10 @@ _ARTIFACT_MAGIC = b"DFMS"
 _ARTIFACT_VERSION = 1
 _RECORD = np.dtype([("l", "<i8"), ("re", "<f8"), ("im", "<f8")])
 
-# per-divisor contributions below this floor are skipped during assembly;
-# they are covered by the certified envelope tails anyway
-_SKIP_FLOOR = 1e-22
+# assemble_line works through a half-line in sequential chunks of this many
+# frequencies to bound its per-(member, hit) temporaries: one pass over the
+# 1.84M-long M=16 half-line takes gm_series from 147 to 221 MB peak RSS
+_CHUNK = 1 << 20
 
 
 # ----------------------------------------------------------------------
@@ -100,9 +100,6 @@ def _line_segment(data: list[_Member], bump: BumpSpec,
             j1 = l_hi // g
             if j1 < j0:
                 continue
-            min_abs_j = 0 if j0 <= 0 <= j1 else min(abs(j0), abs(j1))
-            if abs(coef) * bump.envelope(mem.rate * g * min_abs_j) < _SKIP_FLOOR:
-                continue
             j = np.arange(j0, j1 + 1, dtype=np.float64)
             u = -shift * j
             u -= np.round(u)
@@ -113,24 +110,19 @@ def _line_segment(data: list[_Member], bump: BumpSpec,
     return out
 
 
-def assemble_line(data: list[_Member], bump: BumpSpec, l_lo: int, l_hi: int,
-                  workers: int = 1, chunk: int = 1 << 20) -> np.ndarray:
+def assemble_line(data: list[_Member], bump: BumpSpec, l_lo: int,
+                  l_hi: int) -> np.ndarray:
     """Bucket-averaged coefficient line on the contiguous window [l_lo, l_hi].
 
-    The window is cut into fixed chunks that are always processed in
-    order, so the result is bitwise independent of ``workers``.
+    Every in-window term of every divisor hit is summed; the window is
+    worked through in sequential ``_CHUNK``-long pieces, each summed in
+    the same order, so the result does not depend on where a chunk ends.
     """
     if l_hi < l_lo:
         raise ValueError("empty frequency window")
-    bounds = list(range(l_lo, l_hi + 1, chunk))
-    jobs = [(b, min(b + chunk - 1, l_hi)) for b in bounds]
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda se: _line_segment(data, bump, se[0], se[1]), jobs))
-    else:
-        parts = [_line_segment(data, bump, a, b) for a, b in jobs]
-    return np.concatenate(parts) / len(data)
+    return np.concatenate([
+        _line_segment(data, bump, a, min(a + _CHUNK - 1, l_hi))
+        for a in range(l_lo, l_hi + 1, _CHUNK)]) / len(data)
 
 
 def _mirror_half_line(half: np.ndarray) -> np.ndarray:
@@ -232,7 +224,7 @@ class GmFactor:
 
 def gm_series(profile: ApproximationProfile, bump: BumpSpec, eta: float,
               scale: int, tail_tol: float, budget: int,
-              band_cap: int | None = None, workers: int = 1) -> GmFactor:
+              band_cap: int | None = None) -> GmFactor:
     """Assemble the factor at one dyadic scale on a certified band.
 
     Raises ``WindowExhaustedError`` for an empty bucket.  Without a
@@ -252,7 +244,7 @@ def gm_series(profile: ApproximationProfile, bump: BumpSpec, eta: float,
         need, _, _ = certified_half_bandwidth(data, bump, tail_tol, 1 << 40)
         raise BandwidthBudgetError(2 * need + 1, budget,
                                    f"factor at scale {scale}")
-    half = assemble_line(data, bump, 0, L, workers=workers)
+    half = assemble_line(data, bump, 0, L)
     coeffs = _mirror_half_line(half)
     # the center coefficient is exactly 1 per member (S(q,0) = #I_q), so
     # write the exact mean rather than the per-divisor rounded sum
@@ -332,8 +324,7 @@ class GapResult:
 
 def stability_gap(profile: ApproximationProfile, bump: BumpSpec, eta: float,
                   eps: float, scale: int, periodic: TruncatedFourierSeries,
-                  xi_grid: np.ndarray, kernel_halfwidth: int = 64,
-                  workers: int = 1) -> GapResult:
+                  xi_grid: np.ndarray, kernel_halfwidth: int = 64) -> GapResult:
     """Weighted sup over the grid of the candidate-induced perturbation.
 
     ``periodic`` is the series of the g-product accumulated so far,
@@ -354,7 +345,7 @@ def stability_gap(profile: ApproximationProfile, bump: BumpSpec, eta: float,
     xi_top = int(math.ceil(float(xi_grid[-1])))
     l_c = xi_top + l_g + d_h
 
-    half = assemble_line(data, bump, 0, l_c, workers=workers)
+    half = assemble_line(data, bump, 0, l_c)
     cand = _mirror_half_line(half)
     cand[l_c] = 0.0                      # remove the l = 0 term
     cand_l1 = float(np.sum(np.abs(cand)))
@@ -382,8 +373,7 @@ def select_next_scale(profile: ApproximationProfile, bump: BumpSpec, eta: float,
                       eps: float, scale_entries, prev_scale: int,
                       threshold: float | None,
                       periodic: TruncatedFourierSeries, xi_grid: np.ndarray,
-                      kernel_halfwidth: int = 64,
-                      workers: int = 1) -> tuple[GapResult, list[dict]]:
+                      kernel_halfwidth: int = 64) -> tuple[GapResult, list]:
     """First admissible scale past 2*prev_scale whose gap clears the threshold.
 
     ``threshold`` is None on the opening stage, where the first candidate
@@ -397,7 +387,7 @@ def select_next_scale(profile: ApproximationProfile, bump: BumpSpec, eta: float,
         if entry.scale <= 2 * prev_scale:
             continue
         gap = stability_gap(profile, bump, eta, eps, entry.scale, periodic,
-                            xi_grid, kernel_halfwidth, workers)
+                            xi_grid, kernel_halfwidth)
         tried.append({"scale": entry.scale, "gap": gap.value,
                       "xi_argmax": gap.xi_argmax,
                       "remainder_bound": gap.remainder_bound})
@@ -425,7 +415,6 @@ class BuildConfig:
     bump: BumpSpec = field(default_factory=BumpSpec)
     kernel_halfwidth: int = 64
     band_margin: int = 512
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -463,7 +452,6 @@ class MeasureStage:
     # -- persistence -----------------------------------------------------
 
     def _header(self) -> dict:
-        cfg = self.config
         return {
             "format": _ARTIFACT_VERSION,
             "profile": self.profile.to_descriptor(),
@@ -482,16 +470,7 @@ class MeasureStage:
             "nonneg_min": self.nonneg_min,
             "density_tail_bound": self.density.tail_bound,
             "gfactors_tail_bound": self.gfactors.tail_bound,
-            "config": {
-                "xi_max": cfg.xi_max,
-                "samples_per_band": cfg.samples_per_band,
-                "tail_tol": cfg.tail_tol,
-                "bandwidth_budget": cfg.bandwidth_budget,
-                "bump": {"smoothness": cfg.bump.smoothness,
-                         "shrink": cfg.bump.shrink},
-                "kernel_halfwidth": cfg.kernel_halfwidth,
-                "band_margin": cfg.band_margin,
-            },
+            "config": asdict(self.config),
             "blocks": {"density": len(self.density.coeffs),
                        "gfactors": len(self.gfactors.coeffs)},
         }
@@ -555,14 +534,11 @@ class MeasureStage:
             blocks[name] = rec["re"] + 1j * rec["im"]
         if pos != len(raw):
             raise ArtifactError(f"{len(raw) - pos} trailing bytes")
-        cfg_d = header["config"]
-        cfg = BuildConfig(
-            xi_max=cfg_d["xi_max"], samples_per_band=cfg_d["samples_per_band"],
-            tail_tol=cfg_d["tail_tol"],
-            bandwidth_budget=cfg_d["bandwidth_budget"],
-            bump=BumpSpec(**cfg_d["bump"]),
-            kernel_halfwidth=cfg_d["kernel_halfwidth"],
-            band_margin=cfg_d["band_margin"])
+        # a missing key must not silently take its default
+        cfg_d, keys = header["config"], asdict(BuildConfig())
+        if set(cfg_d) != set(keys) or set(cfg_d["bump"]) != set(keys["bump"]):
+            raise ArtifactError("header config keys differ from BuildConfig")
+        cfg = BuildConfig(**{**cfg_d, "bump": BumpSpec(**cfg_d["bump"])})
         return MeasureStage(
             profile=ApproximationProfile.from_descriptor(header["profile"]),
             eta=header["eta"], eps=header["eps"], stages=header["stages"],
@@ -696,7 +672,7 @@ def build_measure(profile: ApproximationProfile, eta: float | None = None,
         try:
             gap, tried = select_next_scale(
                 profile, bump, eta, eps, entries, prev_scale, threshold,
-                gprod, xi_grid, cfg.kernel_halfwidth, cfg.workers)
+                gprod, xi_grid, cfg.kernel_halfwidth)
         except WindowExhaustedError as exc:
             gap_log.append(tuple({"threshold": threshold, **t}
                                  for t in exc.tried))
@@ -726,8 +702,7 @@ def build_measure(profile: ApproximationProfile, eta: float | None = None,
                     raise BandwidthBudgetError(need, cfg.bandwidth_budget,
                                                "final stage product")
             factor = gm_series(profile, bump, eta, chosen, cfg.tail_tol,
-                               cfg.bandwidth_budget, band_cap=band_cap,
-                               workers=cfg.workers)
+                               cfg.bandwidth_budget, band_cap=band_cap)
             gprod = series_multiply(gprod, factor.series, prod_budget,
                                     where=f"stage {stage} product").symmetrized()
         except BandwidthBudgetError as exc:

@@ -1,7 +1,9 @@
 """End-to-end command line checks driven through main()."""
+import argparse
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from dfourier import MeasureStage, ramanujan_sum
-from dfourier.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_WINDOW, main
+from dfourier.cli import (_CONFIG_KEYS, EXIT_BUDGET, EXIT_OK, EXIT_USAGE,
+                          EXIT_WINDOW, _add_config_flags, main)
 
 REFERENCE_CONFIG = str(Path(__file__).resolve().parent.parent
                        / "configs" / "reference.json")
@@ -26,7 +29,6 @@ def tiny_config(tmp_path, q_max, name="tiny.json", **extra):
         },
         "eta": 0.3,
         "stages": 3,
-        "workers": 1,
     }
     data.update(extra)
     path = tmp_path / name
@@ -253,17 +255,32 @@ def test_analyze_missing_stage_file(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def _rewrite_config(raw, edit):
+    """The artifact ``raw`` with ``edit`` applied to its header config."""
+    hlen = struct.unpack_from("<Q", raw, 4)[0]
+    header = json.loads(raw[12:12 + hlen])
+    edit(header["config"])
+    new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return raw[:4] + struct.pack("<Q", len(new)) + new + raw[12 + hlen:]
+
+
 def test_analyze_corrupt_artifact_is_usage_error(st1, tmp_path, capsys):
     good = tmp_path / "stage.bin"
     st1.save(good)
     raw = good.read_bytes()
     header_flip = bytearray(raw)
     header_flip[20] ^= 0xFF
+    assert _rewrite_config(raw, lambda cfg: None) == raw
     cases = {
         "random.bin": bytes(range(256)) * 16,
         "cut.bin": raw[:-100],
         "trailing.bin": raw + b"abc",
         "header.bin": bytes(header_flip),
+        # a missing config key must not take its default
+        "lost_key.bin": _rewrite_config(raw, lambda c: c.pop("band_margin")),
+        "extra_key.bin": _rewrite_config(raw, lambda c: c.update(workers=1)),
+        "lost_bump_key.bin": _rewrite_config(
+            raw, lambda c: c["bump"].pop("shrink")),
     }
     for name, blob in cases.items():
         path = tmp_path / name
@@ -301,10 +318,50 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
 
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
-    odd = tmp_path / "odd.json"
-    odd.write_text('{"fruit": 1}')
-    assert main(["buckets", "--config", str(odd)]) == EXIT_USAGE
-    assert "unknown config keys" in capsys.readouterr().err
+    # "seed" and "workers" were keys once; old configs must fail loudly
+    for body in ('{"fruit": 1}', '{"seed": 0}', '{"workers": 1}'):
+        odd = tmp_path / "odd.json"
+        odd.write_text(body)
+        assert main(["buckets", "--config", str(odd)]) == EXIT_USAGE
+        assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_every_config_key_has_a_flag():
+    parser = argparse.ArgumentParser()
+    _add_config_flags(parser)
+    flags = set(vars(parser.parse_args([]))) - {"config"}
+    assert flags == _CONFIG_KEYS - {"profile"}
+
+
+BAD_RUN_CONFIGS = [
+    # (key, value, given as a flag or in the config file)
+    ("xi_max", "0.5", "flag"),
+    ("kernel_halfwidth", "-3", "flag"),
+    ("kernel_halfwidth", "0", "flag"),
+    ("band_margin", "-100000", "flag"),
+    ("samples_per_band", "0", "flag"),
+    ("upper_q_max", "0", "flag"),
+    ("bandwidth_budget", "0", "flag"),
+    ("stages", "-1", "flag"),
+    ("stages", "3", "file"),
+    ("stages", 2.5, "file"),
+    ("xi_max", "big", "file"),
+    ("eps", float("nan"), "file"),
+    ("tail_tol", 0.0, "file"),
+]
+
+
+@pytest.mark.parametrize("key, value, via", BAD_RUN_CONFIGS,
+                         ids=[f"{v}-{k}={x}" for k, x, v in BAD_RUN_CONFIGS])
+def test_bad_run_config_is_usage_error(tmp_path, capsys, key, value, via):
+    # each must end in exit 2, not a traceback or a build on a vacuous grid
+    flags = [f"--{key.replace('_', '-')}", value] if via == "flag" else []
+    cfg = tiny_config(tmp_path, 50, **({key: value} if via == "file" else {}))
+    assert main(["buckets", "--config", cfg, *flags]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert key in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_config_validation_messages(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Staged density builder: factors, scale selection, artifacts."""
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from dfourier import (
     gm_series,
     power_law_profile,
 )
-from dfourier.measure import stability_gap
+from dfourier import measure
+from dfourier.arith import residue_set
+from dfourier.measure import _member_data, assemble_line, stability_gap
 
 BUMP = BumpSpec()
 ETA, EPS = 0.3, 0.05
@@ -100,6 +103,34 @@ def test_capped_band_keeps_honest_tail(reference_profile):
     assert fac.series.half_bandwidth == 2000
     assert fac.series.tail_bound > 1e-8
     assert fac.series.coeff(0) == 1.0 + 0.0j
+
+
+def test_assemble_line_matches_bruteforce_sum(reference_profile, monkeypatch):
+    # the M=4 bucket average of (1/#I_q) sum over p in I_q of
+    # e(-l(p + theta)/q) * fhat(l psi/q), phases reduced exactly; every
+    # window must be exact, including ones that start far from 0
+    prof = reference_profile
+    members = prof.bucket(ETA, 4).members
+    data = _member_data(prof, members)
+    for lo in (0, 60000, 200000):
+        ls = np.arange(lo, lo + 8)
+        want = np.zeros(len(ls), dtype=complex)
+        for q, psi in zip(members.tolist(), prof.psi_values(members)):
+            rs = residue_set(q, *prof.pair(q))
+            theta = Fraction(float(prof.theta_of(q)))
+            for i, l in enumerate(ls.tolist()):
+                u = np.array([float(l * (p + theta) / q % 1)
+                              for p in rs.members.tolist()])
+                want[i] += (np.exp(-2j * np.pi * u).sum()
+                            * BUMP.fourier(l * (float(psi) / q)) / rs.count)
+        want /= len(members)
+        got = assemble_line(data, BUMP, lo, lo + 7)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), lo
+    # the chunk length bounds memory only; it must not move a bit
+    one_pass = assemble_line(data, BUMP, 0, 20000)
+    for chunk in (777, 1000):
+        monkeypatch.setattr(measure, "_CHUNK", chunk)
+        assert np.array_equal(assemble_line(data, BUMP, 0, 20000), one_pass)
 
 
 # ----------------------------------------------------------------------
