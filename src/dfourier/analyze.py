@@ -333,18 +333,27 @@ def _comb_value(comb: _FactorComb, bump: BumpSpec, x: np.ndarray) -> np.ndarray:
     """Exact factor density at the points x (vectorized).
 
     Bumps have radius shrink * psi(q) / q < 1/(2q), so the nearest
-    integer to x*q - theta is the only candidate residue.
+    integer p to x*q - theta is the only candidate residue.  The offset
+    d = x*q - theta - p is formed from the exact product x*q = hi + lo
+    (Veltkamp split of x; q < 2**26 needs no split), so inside a spike it
+    carries one rounding of its own size instead of the rounding of x*q,
+    which near q ~ 1000 is ~1e-13 against spike radii ~1e-6.
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
+    big = 134217729.0 * x               # 2**27 + 1
+    x_hi = big - (big - x)
+    x_lo = x - x_hi
     for i in range(len(comb.qs)):
         q = int(comb.qs[i])
         psi = float(comb.psi[i])
         if psi <= 0.0:
             continue
-        y = x * q - float(comb.theta[i])
-        pr = np.rint(y)
-        d = y - pr
+        theta = float(comb.theta[i])
+        hi = x * q
+        lo = (x_hi * q - hi) + x_lo * q
+        pr = np.rint(hi - theta)
+        d = ((hi - pr) - theta) + lo
         active = comb.masks[i][pr.astype(np.int64) % q]
         active &= np.abs(d) < bump.shrink * psi
         if active.any():
@@ -620,9 +629,10 @@ def measure_of_Aq(stage: MeasureStage, q: int, method: str = "direct",
 
     ``direct`` sums the exact product density's per-spike masses over
     the interval union (``DirectDensity.measure_of_intervals``) and is
-    the certified route.  ``series`` pairs the
-    stored density block with the closed-form interval transform; it
-    inherits the block's truncation error and is kept as a cross-check.
+    the certified route.  ``series`` pairs the density series
+    (``stage.density``, derived from the stored g-product block) with
+    the closed-form interval transform; it inherits that series'
+    truncation error and is kept as a cross-check.
     A positive ``mc_samples`` switches to a seeded stratified
     Monte-Carlo estimate.
     """

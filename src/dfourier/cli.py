@@ -118,6 +118,8 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ProfileError(f"config file {path} must hold a JSON object")
         unknown = set(data) - _CONFIG_KEYS
         if unknown:
             raise ProfileError(f"unknown config keys: {sorted(unknown)}")
@@ -393,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     except ProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except json.JSONDecodeError as exc:

@@ -26,7 +26,9 @@ from __future__ import annotations
 import json
 import math
 import struct
+import zlib
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +48,7 @@ from .profile import ApproximationProfile
 from .series import TruncatedFourierSeries, constant_series, series_multiply
 
 _ARTIFACT_MAGIC = b"DFMS"
-_ARTIFACT_VERSION = 1
-_RECORD = np.dtype([("l", "<i8"), ("re", "<f8"), ("im", "<f8")])
+_ARTIFACT_VERSION = 2
 
 # assemble_line works through a half-line in sequential chunks of this many
 # frequencies to bound its per-(member, hit) temporaries: one pass over the
@@ -419,13 +420,13 @@ class BuildConfig:
 
 @dataclass(frozen=True)
 class MeasureStage:
-    """Finished build artifact: two coefficient blocks plus certificates.
+    """Finished build artifact: one coefficient block plus certificates.
 
-    ``density`` is the series of the full normalized density (g-product
-    times the window h0); ``gfactors`` is the series of the periodic
-    g-product alone, which the analyzer pairs with the closed-form window
-    transform to evaluate the measure transform off the integers.  Both
-    are normalized by the same constant so the density has mean exactly 1.
+    ``gfactors`` is the series of the periodic g-product, normalized so
+    the density has mean exactly 1; the analyzer pairs it with the
+    closed-form window transform to evaluate the measure transform off
+    the integers.  ``density`` (g-product times the window h0) is derived
+    from it on first use.
     """
     profile: ApproximationProfile
     eta: float
@@ -439,7 +440,6 @@ class MeasureStage:
     c_stab: float
     gap_log: tuple
     factor_summaries: tuple
-    density: TruncatedFourierSeries
     gfactors: TruncatedFourierSeries
     normalization: float
     uniform_error_bound: float
@@ -448,6 +448,20 @@ class MeasureStage:
     @property
     def complete(self) -> bool:
         return self.stages == self.requested_stages
+
+    @cached_property
+    def density(self) -> TruncatedFourierSeries:
+        """Series of the normalized density, ``gfactors`` times h0.
+
+        Cut at the export band like ``gfactors``.  Where ``gfactors`` is
+        itself cut there (two stages and up), the outermost h0 half-band
+        of coefficients on each side misses the product terms beyond the
+        cut; the product's tail bound prices that.
+        """
+        h0 = h0_series(self.config.bump, min(self.config.tail_tol, 1e-13))
+        full = series_multiply(self.gfactors, h0).symmetrized()
+        return full.slice_to(min(_export_band(self.config, h0),
+                                 full.half_bandwidth))
 
     # -- persistence -----------------------------------------------------
 
@@ -468,36 +482,30 @@ class MeasureStage:
             "normalization": self.normalization,
             "uniform_error_bound": self.uniform_error_bound,
             "nonneg_min": self.nonneg_min,
-            "density_tail_bound": self.density.tail_bound,
             "gfactors_tail_bound": self.gfactors.tail_bound,
             "config": asdict(self.config),
-            "blocks": {"density": len(self.density.coeffs),
-                       "gfactors": len(self.gfactors.coeffs)},
         }
 
     def save(self, path) -> None:
-        """Write the stage to one self-describing binary file."""
+        """Write the stage to one self-describing binary file.
+
+        Magic, header length, JSON header, the ``gfactors`` block as
+        little-endian complex128, then a CRC-32 of every byte before it.
+        """
         header = json.dumps(self._header(), sort_keys=True,
                             separators=(",", ":")).encode()
+        body = b"".join((_ARTIFACT_MAGIC, struct.pack("<Q", len(header)),
+                         header, self.gfactors.coeffs.astype("<c16").tobytes()))
         with open(path, "wb") as fh:
-            fh.write(_ARTIFACT_MAGIC)
-            fh.write(struct.pack("<Q", len(header)))
-            fh.write(header)
-            for series in (self.density, self.gfactors):
-                L = series.half_bandwidth
-                rec = np.empty(len(series.coeffs), dtype=_RECORD)
-                rec["l"] = np.arange(-L, L + 1)
-                rec["re"] = series.coeffs.real
-                rec["im"] = series.coeffs.imag
-                fh.write(rec.tobytes())
+            fh.write(body + zlib.crc32(body).to_bytes(4, "little"))
 
     @staticmethod
     def load(path) -> "MeasureStage":
         """Read a stage written by ``save``.
 
         Raises ``ArtifactError`` for anything but one intact artifact: a
-        bad magic, an undecodable or malformed header, an unsupported
-        format, a short or corrupt coefficient block, or trailing bytes.
+        bad magic, an undecodable or malformed header, another format, a
+        block of the wrong size, or a checksum mismatch.
         """
         raw = Path(path).read_bytes()
         if raw[:4] != _ARTIFACT_MAGIC:
@@ -518,27 +526,22 @@ class MeasureStage:
         if pos > len(raw):
             raise ArtifactError("header runs past the end of the file")
         header = json.loads(raw[12:pos].decode())
-        if not isinstance(header, dict) \
-                or header.get("format") != _ARTIFACT_VERSION:
-            raise ArtifactError("unsupported artifact format")
-        blocks = {}
-        for name in ("density", "gfactors"):
-            n = int(header["blocks"][name])
-            if n < 1 or pos + n * _RECORD.itemsize > len(raw):
-                raise ArtifactError(f"{name} block cut short")
-            rec = np.frombuffer(raw, dtype=_RECORD, count=n, offset=pos)
-            pos += n * _RECORD.itemsize
-            L = (n - 1) // 2
-            if not np.array_equal(rec["l"], np.arange(-L, L + 1)):
-                raise ArtifactError("corrupt coefficient block")
-            blocks[name] = rec["re"] + 1j * rec["im"]
-        if pos != len(raw):
-            raise ArtifactError(f"{len(raw) - pos} trailing bytes")
+        fmt = header.get("format")      # AttributeError unless an object
+        if fmt != _ARTIFACT_VERSION:
+            raise ArtifactError(f"artifact format {fmt!r} is not "
+                                f"{_ARTIFACT_VERSION}; rebuild the stage")
+        n, rest = divmod(len(raw) - pos - 4, 16)
+        if n < 1 or n % 2 == 0 or rest:
+            raise ArtifactError(f"{len(raw) - pos} bytes after the header "
+                                f"are not one coefficient block and checksum")
+        if zlib.crc32(raw[:-4]).to_bytes(4, "little") != raw[-4:]:
+            raise ArtifactError("checksum mismatch")
         # a missing key must not silently take its default
         cfg_d, keys = header["config"], asdict(BuildConfig())
         if set(cfg_d) != set(keys) or set(cfg_d["bump"]) != set(keys["bump"]):
             raise ArtifactError("header config keys differ from BuildConfig")
         cfg = BuildConfig(**{**cfg_d, "bump": BumpSpec(**cfg_d["bump"])})
+        block = np.frombuffer(raw, dtype="<c16", count=n, offset=pos)
         return MeasureStage(
             profile=ApproximationProfile.from_descriptor(header["profile"]),
             eta=header["eta"], eps=header["eps"], stages=header["stages"],
@@ -548,13 +551,17 @@ class MeasureStage:
             gap_log=tuple(tuple(stage) for stage in header["gap_log"]),
             factor_summaries=tuple(tuple(sorted(f.items()))
                                    for f in header["factors"]),
-            density=TruncatedFourierSeries(
-                blocks["density"], header["density_tail_bound"]),
-            gfactors=TruncatedFourierSeries(
-                blocks["gfactors"], header["gfactors_tail_bound"]),
+            gfactors=TruncatedFourierSeries(block.astype(np.complex128),
+                                            header["gfactors_tail_bound"]),
             normalization=header["normalization"],
             uniform_error_bound=header["uniform_error_bound"],
             nonneg_min=header["nonneg_min"])
+
+
+def _export_band(cfg: BuildConfig, h0: TruncatedFourierSeries) -> int:
+    """Half-band of the stored blocks: what the analyzer's window consumes."""
+    return (cfg.xi_max + cfg.kernel_halfwidth + cfg.band_margin
+            + h0.half_bandwidth)
 
 
 def _product_sup_bound(parts: list[TruncatedFourierSeries]) -> float:
@@ -590,10 +597,7 @@ def _finalize(profile: ApproximationProfile, eta: float, eps: float,
     z = current.coeff(0).real
     if z <= 0.0:
         raise ProfileError("density normalization is not positive")
-    density_full = TruncatedFourierSeries(current.coeffs / z,
-                                          current.tail_bound / z)
-    gfactors_full = TruncatedFourierSeries(gprod.coeffs / z,
-                                           gprod.tail_bound / z)
+    gf = TruncatedFourierSeries(gprod.coeffs / z, gprod.tail_bound / z)
 
     # uniform certified error of the banded density (and of transform
     # values computed from it): each factor's envelope tail multiplies a
@@ -605,11 +609,8 @@ def _finalize(profile: ApproximationProfile, eta: float, eps: float,
         err += f.tail_bound * _product_sup_bound(others)
     uniform_error = err / z
 
-    grid_vals = density_full.evaluate_on_regular_grid(1 << 16).real
-    nonneg_min = float(grid_vals.min())
-
-    export = (cfg.xi_max + cfg.kernel_halfwidth + cfg.band_margin
-              + h0.half_bandwidth)
+    density = TruncatedFourierSeries(current.coeffs / z)
+    nonneg_min = float(density.evaluate_on_regular_grid(1 << 16).real.min())
     return MeasureStage(
         profile=profile, eta=float(eta), eps=float(eps),
         stages=len(factors), requested_stages=requested,
@@ -618,8 +619,7 @@ def _finalize(profile: ApproximationProfile, eta: float, eps: float,
         gap_log=tuple(gap_log),
         factor_summaries=tuple(tuple(sorted(f.summary().items()))
                                for f in factors),
-        density=density_full.slice_to(min(export, density_full.half_bandwidth)),
-        gfactors=gfactors_full.slice_to(min(export, gfactors_full.half_bandwidth)),
+        gfactors=gf.slice_to(min(_export_band(cfg, h0), gf.half_bandwidth)),
         normalization=float(z),
         uniform_error_bound=float(uniform_error),
         nonneg_min=nonneg_min)

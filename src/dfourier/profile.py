@@ -39,6 +39,61 @@ def _freeze_table(table) -> tuple:
     return tuple(sorted((int(q), v) for q, v in items))
 
 
+def _integers(values, what: str) -> tuple:
+    """The given descriptor numbers, which must be ints: a fraction is
+    an error, not something to truncate."""
+    values = tuple(values)
+    if not all(type(v) is int for v in values):
+        raise ProfileError(f"profile {what} must be integers, "
+                           f"got {list(values)}")
+    return values
+
+
+def _descriptor_kwargs(desc: Mapping) -> dict:
+    """Constructor arguments of ``ApproximationProfile`` from a descriptor."""
+    known = {"window", "psi", "theta", "coprime", "q_member"}
+    extra = set(desc) - known
+    if extra:
+        raise ProfileError(f"unknown profile keys: {sorted(extra)}")
+    window = desc.get("window")
+    if not (isinstance(window, (list, tuple)) and len(window) == 2):
+        raise ProfileError("profile needs a two-element window")
+    kw: dict = dict(zip(("q_min", "q_max"), _integers(window, "window")))
+    psi = dict(desc.get("psi") or {"kind": "power_law"})
+    kw["psi_kind"] = psi.pop("kind", "power_law")
+    if kw["psi_kind"] == "power_law":
+        kw["tau"] = float(psi.pop("tau", 2.0))
+    else:
+        kw["psi_table"] = {int(q): float(v)
+                           for q, v in psi.pop("values", {}).items()}
+    theta = dict(desc.get("theta") or {"kind": "constant"})
+    kw["theta_kind"] = theta.pop("kind", "constant")
+    if kw["theta_kind"] == "constant":
+        kw["theta_value"] = float(theta.pop("value", 0.0))
+    else:
+        kw["theta_table"] = {int(q): float(v)
+                             for q, v in theta.pop("values", {}).items()}
+    coprime = dict(desc.get("coprime") or {"kind": "classical"})
+    kw["coprime_kind"] = coprime.pop("kind", "classical")
+    if kw["coprime_kind"] == "table":
+        kw["pair_table"] = {int(q): _integers(ab, f"pair at q={q}")
+                            for q, ab in coprime.pop("pairs", {}).items()}
+    member = dict(desc.get("q_member") or {"kind": "all"})
+    kw["member_kind"] = member.pop("kind", "all")
+    if kw["member_kind"] == "list":
+        kw["member_list"] = _integers(member.pop("values", []), "members")
+    elif kw["member_kind"] == "residue_classes":
+        (kw["member_modulus"],) = _integers([member.pop("modulus", 0)],
+                                            "member modulus")
+        kw["member_classes"] = _integers(member.pop("classes", []),
+                                         "member classes")
+    for name, sub in (("psi", psi), ("theta", theta),
+                      ("coprime", coprime), ("q_member", member)):
+        if sub:
+            raise ProfileError(f"unknown {name} keys: {sorted(sub)}")
+    return kw
+
+
 # ----------------------------------------------------------------------
 # profile data model
 # ----------------------------------------------------------------------
@@ -242,46 +297,20 @@ class ApproximationProfile:
 
     @classmethod
     def from_descriptor(cls, desc: Mapping) -> "ApproximationProfile":
-        """Inverse of ``to_descriptor``; unknown keys are rejected."""
-        known = {"window", "psi", "theta", "coprime", "q_member"}
-        extra = set(desc) - known
-        if extra:
-            raise ProfileError(f"unknown profile keys: {sorted(extra)}")
-        window = desc.get("window")
-        if not (isinstance(window, (list, tuple)) and len(window) == 2):
-            raise ProfileError("profile needs a two-element window")
-        kw: dict = {"q_min": int(window[0]), "q_max": int(window[1])}
-        psi = dict(desc.get("psi") or {"kind": "power_law"})
-        kw["psi_kind"] = psi.pop("kind", "power_law")
-        if kw["psi_kind"] == "power_law":
-            kw["tau"] = float(psi.pop("tau", 2.0))
-        else:
-            kw["psi_table"] = {int(q): float(v)
-                               for q, v in psi.pop("values", {}).items()}
-        theta = dict(desc.get("theta") or {"kind": "constant"})
-        kw["theta_kind"] = theta.pop("kind", "constant")
-        if kw["theta_kind"] == "constant":
-            kw["theta_value"] = float(theta.pop("value", 0.0))
-        else:
-            kw["theta_table"] = {int(q): float(v)
-                                 for q, v in theta.pop("values", {}).items()}
-        coprime = dict(desc.get("coprime") or {"kind": "classical"})
-        kw["coprime_kind"] = coprime.pop("kind", "classical")
-        if kw["coprime_kind"] == "table":
-            kw["pair_table"] = {int(q): (int(ab[0]), int(ab[1]))
-                                for q, ab in coprime.pop("pairs", {}).items()}
-        member = dict(desc.get("q_member") or {"kind": "all"})
-        kw["member_kind"] = member.pop("kind", "all")
-        if kw["member_kind"] == "list":
-            kw["member_list"] = tuple(int(q) for q in member.pop("values", []))
-        elif kw["member_kind"] == "residue_classes":
-            kw["member_modulus"] = int(member.pop("modulus", 0))
-            kw["member_classes"] = tuple(int(c) for c in member.pop("classes", []))
-        for name, sub in (("psi", psi), ("theta", theta),
-                          ("coprime", coprime), ("q_member", member)):
-            if sub:
-                raise ProfileError(f"unknown {name} keys: {sorted(sub)}")
-        return cls(**kw)
+        """Inverse of ``to_descriptor``; unknown keys are rejected.
+
+        Anything but a well-formed descriptor raises ``ProfileError``,
+        not the bare error of a failed conversion.
+        """
+        if not isinstance(desc, Mapping):
+            raise ProfileError(f"profile must be an object, not {desc!r}")
+        try:
+            return cls(**_descriptor_kwargs(desc))
+        except ProfileError:
+            raise
+        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+            raise ProfileError(f"malformed profile "
+                               f"({type(exc).__name__}: {exc})") from exc
 
     # -- critical exponent ------------------------------------------------
 

@@ -295,6 +295,43 @@ def test_witnesses_at_two_stage_spike_centres(st2):
         assert [w["scale"] for w in out["witnesses"]] == list(st2.scales)
 
 
+def _exact_comb_value(comb, bump, x):
+    # the comb at x with the spike offset x*q - theta - p in exact
+    # rationals, rounded once to u = offset / psi
+    X, total = Fraction(x), Fraction(0)
+    for q, psi, theta, mask, count in zip(
+            comb.qs.tolist(), comb.psi.tolist(), comb.theta.tolist(),
+            comb.masks, comb.counts.tolist()):
+        y = X * q - Fraction(theta)
+        d = y - round(y)
+        if mask[round(y) % q] and abs(d) < bump.shrink * psi:
+            u = float(d / Fraction(psi))
+            total += Fraction(bump.value(u)) * q / Fraction(psi) / count
+    return total / len(comb.qs)
+
+
+def test_raw_value_matches_exact_offsets_at_two_stages(st2):
+    # 200 points spread inside the surviving fine spikes (~1e-8 wide):
+    # the offset must not inherit the rounding of x*q (off by 1e-5
+    # relative when x*q is formed in floats)
+    dd = DirectDensity(st2)
+    fine = dd.combs[-1]
+    c = np.concatenate([np.mod((np.flatnonzero(mask) + th) / q, 1.0)
+                        for q, th, mask in zip(fine.qs, fine.theta,
+                                               fine.masks)])
+    rate = np.repeat(fine.psi / fine.qs, fine.counts)
+    u = np.random.default_rng(1).uniform(-0.95, 0.95, len(c))
+    x = c + rate * u * dd.bump.shrink
+    x = np.sort(x[dd.raw_value(x) > 0.0])
+    xs = x[np.linspace(0, len(x) - 1, 200).astype(int)]
+    want = np.array([float(Fraction(float(dd.bump.window_value(v)))
+                           * _exact_comb_value(dd.combs[0], dd.bump, v)
+                           * _exact_comb_value(fine, dd.bump, v))
+                     for v in xs])
+    assert np.all(want > 0.0)
+    np.testing.assert_allclose(dd.raw_value(xs), want, rtol=1e-12, atol=0.0)
+
+
 # ----------------------------------------------------------------------
 # interval masses
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -18,15 +19,20 @@ REFERENCE_CONFIG = str(Path(__file__).resolve().parent.parent
                        / "configs" / "reference.json")
 
 
+def tiny_profile(q_max, **parts):
+    return {
+        "window": [2, q_max],
+        "psi": {"kind": "power_law", "tau": 2.0},
+        "theta": {"kind": "constant", "value": 0.3},
+        "coprime": {"kind": "classical"},
+        "q_member": {"kind": "all"},
+        **parts,
+    }
+
+
 def tiny_config(tmp_path, q_max, name="tiny.json", **extra):
     data = {
-        "profile": {
-            "window": [2, q_max],
-            "psi": {"kind": "power_law", "tau": 2.0},
-            "theta": {"kind": "constant", "value": 0.3},
-            "coprime": {"kind": "classical"},
-            "q_member": {"kind": "all"},
-        },
+        "profile": tiny_profile(q_max),
         "eta": 0.3,
         "stages": 3,
     }
@@ -250,18 +256,23 @@ def test_build_window_exhausted_without_candidates(tmp_path, capsys):
 # analyze and config plumbing
 # ----------------------------------------------------------------------
 
-def test_analyze_missing_stage_file(capsys):
+def test_analyze_missing_stage_file(tmp_path, capsys):
     assert main(["analyze", "/nonexistent/stage.bin"]) == EXIT_USAGE
     assert "not found" in capsys.readouterr().err
+    # a directory in its place is a usage error too, not a traceback
+    assert main(["analyze", str(tmp_path)]) == EXIT_USAGE
+    assert "Is a directory" in capsys.readouterr().err
 
 
-def _rewrite_config(raw, edit):
-    """The artifact ``raw`` with ``edit`` applied to its header config."""
+def _rewrite_header(raw, edit):
+    """The artifact ``raw`` with ``edit`` applied to its header, the
+    checksum resealed so that the edit alone decides the outcome."""
     hlen = struct.unpack_from("<Q", raw, 4)[0]
     header = json.loads(raw[12:12 + hlen])
-    edit(header["config"])
+    edit(header)
     new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    return raw[:4] + struct.pack("<Q", len(new)) + new + raw[12 + hlen:]
+    body = raw[:4] + struct.pack("<Q", len(new)) + new + raw[12 + hlen:-4]
+    return body + zlib.crc32(body).to_bytes(4, "little")
 
 
 def test_analyze_corrupt_artifact_is_usage_error(st1, tmp_path, capsys):
@@ -270,18 +281,30 @@ def test_analyze_corrupt_artifact_is_usage_error(st1, tmp_path, capsys):
     raw = good.read_bytes()
     header_flip = bytearray(raw)
     header_flip[20] ^= 0xFF
-    assert _rewrite_config(raw, lambda cfg: None) == raw
+    assert _rewrite_header(raw, lambda header: None) == raw
+    value_flip = bytearray(raw)
+    value_flip[-10] ^= 0x01
     cases = {
         "random.bin": bytes(range(256)) * 16,
         "cut.bin": raw[:-100],
         "trailing.bin": raw + b"abc",
         "header.bin": bytes(header_flip),
+        "value.bin": bytes(value_flip),
         # a missing config key must not take its default
-        "lost_key.bin": _rewrite_config(raw, lambda c: c.pop("band_margin")),
-        "extra_key.bin": _rewrite_config(raw, lambda c: c.update(workers=1)),
-        "lost_bump_key.bin": _rewrite_config(
-            raw, lambda c: c["bump"].pop("shrink")),
+        "lost_key.bin": _rewrite_header(
+            raw, lambda h: h["config"].pop("band_margin")),
+        "extra_key.bin": _rewrite_header(
+            raw, lambda h: h["config"].update(workers=1)),
+        "lost_bump_key.bin": _rewrite_header(
+            raw, lambda h: h["config"]["bump"].pop("shrink")),
+        # a format-1 header (the two-block layout before the checksum)
+        "v1.bin": _rewrite_header(raw, lambda h: h.update(format=1)),
     }
+    reasons = {"value.bin": "checksum mismatch",
+               "lost_key.bin": "header config keys differ",
+               "extra_key.bin": "header config keys differ",
+               "lost_bump_key.bin": "header config keys differ",
+               "v1.bin": "artifact format 1 is not 2; rebuild the stage"}
     for name, blob in cases.items():
         path = tmp_path / name
         path.write_bytes(blob)
@@ -289,6 +312,7 @@ def test_analyze_corrupt_artifact_is_usage_error(st1, tmp_path, capsys):
                      "--output-dir", str(tmp_path / "out")]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(f"error: corrupt artifact {path}: "), err
+        assert reasons.get(name, "") in err, err
         assert "malformed config" not in err
     assert not (tmp_path / "out").exists()
 
@@ -348,11 +372,32 @@ BAD_RUN_CONFIGS = [
     ("xi_max", "big", "file"),
     ("eps", float("nan"), "file"),
     ("tail_tol", 0.0, "file"),
+    # malformed profile descriptors
+    ("profile", 5, "file"),
+    ("profile", tiny_profile(50, window=["a", 5]), "file"),
+    ("profile", tiny_profile(50, window=[2.5, 1000]), "file"),
+    ("profile", tiny_profile(50, psi={"kind": "power_law", "tau": "x"}),
+     "file"),
+    ("profile", tiny_profile(50, coprime={"kind": "table",
+                                          "pairs": {"7": [1]}}), "file"),
+    ("profile", tiny_profile(50, q_member={"kind": "list", "values": ["z"]}),
+     "file"),
+    ("profile", tiny_profile(50, q_member={"kind": "list",
+                                           "values": [3.7, 7]}), "file"),
+    ("profile", tiny_profile(50, coprime={"kind": "table",
+                                          "pairs": {"3": [1.9, 2]}}), "file"),
 ]
 
 
+def _case_id(key, value, via):
+    if isinstance(value, dict):         # name the one malformed part
+        part = next(k for k, v in value.items() if v != tiny_profile(50)[k])
+        return f"{via}-{key}.{part}={value[part]}"
+    return f"{via}-{key}={value}"
+
+
 @pytest.mark.parametrize("key, value, via", BAD_RUN_CONFIGS,
-                         ids=[f"{v}-{k}={x}" for k, x, v in BAD_RUN_CONFIGS])
+                         ids=[_case_id(*case) for case in BAD_RUN_CONFIGS])
 def test_bad_run_config_is_usage_error(tmp_path, capsys, key, value, via):
     # each must end in exit 2, not a traceback or a build on a vacuous grid
     flags = [f"--{key.replace('_', '-')}", value] if via == "flag" else []
@@ -371,6 +416,14 @@ def test_config_validation_messages(tmp_path, capsys):
     cfg = tiny_config(tmp_path, 50, name="badeta.json", eta=1.2)
     assert main(["buckets", "--config", cfg]) == EXIT_USAGE
     assert "eta" in capsys.readouterr().err
+    # the file must hold one JSON object ("ab" once read as keys a and b)
+    for body in ("5", '"ab"', "[1]"):
+        odd = tmp_path / "notobj.json"
+        odd.write_text(body)
+        assert main(["buckets", "--config", str(odd)]) == EXIT_USAGE
+        assert "must hold a JSON object" in capsys.readouterr().err
+    assert main(["buckets", "--config", str(tmp_path)]) == EXIT_USAGE
+    assert "Is a directory" in capsys.readouterr().err
 
 
 def test_import_pulls_in_no_scipy():
