@@ -217,33 +217,31 @@ def _fit_slope(bands) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def decay_report(stage: MeasureStage, xi_max: float | None = None,
-                 samples_per_band: int | None = None,
+def decay_report(stage: MeasureStage,
                  fit_range: tuple = (4, None)) -> DecayReport:
     """Band suprema of |nu-hat|, slope fit, and the headline comparison.
 
-    Bands whose supremum does not clear the certified pointwise error
-    floor, or that the stored block cannot cover, are flagged
-    uncertified; they and bands of fewer than 4 samples stay out of the fit.
+    The grid is the build's own (``xi_max`` and ``samples_per_band`` of
+    ``stage.config``), so the report depends only on the artifact and
+    ``fit_range``.  Bands whose supremum does not clear the certified
+    pointwise error floor, or that the stored block cannot cover, are
+    flagged uncertified; they and bands of fewer than 4 samples stay out
+    of the fit.
     """
     cfg = stage.config
-    if xi_max is None:
-        xi_max = float(cfg.xi_max)
-    if samples_per_band is None:
-        samples_per_band = cfg.samples_per_band
-
+    xi_max = float(cfg.xi_max)
     coverage = stage.gfactors.half_bandwidth + cfg.kernel_halfwidth
-    grid = build_xi_grid(xi_max, samples_per_band)
+    grid = build_xi_grid(xi_max, cfg.samples_per_band)
     grid = grid[grid <= coverage]
     vals = np.abs(transform_samples(stage, grid))
     nu0 = float(np.abs(transform_samples(stage, np.array([0.0]))[0]))
-    floor = pointwise_error_bound(stage, min(float(xi_max), float(coverage)))
+    floor = pointwise_error_bound(stage, min(xi_max, float(coverage)))
     rem = sampling_remainder(stage)
 
     bands = []
     j = 0
     while 2.0 ** j < xi_max:
-        lo, hi = 2.0 ** j, min(2.0 ** (j + 1), float(xi_max))
+        lo, hi = 2.0 ** j, min(2.0 ** (j + 1), xi_max)
         last = hi >= xi_max
         sel = (grid >= lo) & ((grid <= hi) if last else (grid < hi))
         count = int(sel.sum())

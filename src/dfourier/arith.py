@@ -189,6 +189,21 @@ def residue_count(q: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def divisor_hits(q: int, a: int = 0, b: int = 1) -> list[tuple[int, int, int, int]]:
+    """The terms of the divisor formula for S(q, .) as exact integers.
+
+    One ``(l, g, mu(l), p0)`` per squarefree divisor ``l`` of q with
+    gcd(l, b) == 1, where ``g = q / l`` and ``p0`` is the residue mod l
+    with ``b * p0 + a == 0 (mod l)``.  The term touches the frequencies
+    ``k = g * j`` with weight ``mu(l) * g * exp(-2*pi*i * j * p0 / l)``.
+    """
+    if q < 1:
+        raise ValueError(f"modulus must be >= 1, got {q}")
+    _validate_pair(a, b)
+    return [(lp, q // lp, mobius(lp), (-a * pow(b, -1, lp)) % lp)
+            for lp in squarefree_divisors(q) if math.gcd(lp, b) == 1]
+
+
 def ramanujan_sum_bruteforce(q: int, k: int, a: int = 0, b: int = 1) -> complex:
     """S(q, k) by direct summation over the residue set.  Test oracle."""
     rs = residue_set(q, a, b)
@@ -197,25 +212,12 @@ def ramanujan_sum_bruteforce(q: int, k: int, a: int = 0, b: int = 1) -> complex:
 
 
 def ramanujan_sum_divisor(q: int, k: int, a: int = 0, b: int = 1) -> complex:
-    """S(q, k) via the divisor formula.
-
-    Only squarefree divisors ``l`` of q with gcd(l, b) == 1 contribute, and
-    only when (q / l) divides k.  Each contributes
-    ``mu(l) * (q/l) * exp(-2*pi*i * k * p0(l) / q)`` where ``p0(l)`` is the
-    unique residue mod l with ``b * p0 + a == 0 (mod l)``.
-    """
-    if q < 1:
-        raise ValueError(f"modulus must be >= 1, got {q}")
-    _validate_pair(a, b)
+    """S(q, k) via the divisor formula: the ``divisor_hits`` terms whose
+    stride ``g`` divides k."""
     total = 0.0 + 0.0j
-    for lp in squarefree_divisors(q):
-        if math.gcd(lp, b) != 1:
-            continue
-        g = q // lp
-        if k % g != 0:
-            continue
-        p0 = (-a * pow(b, -1, lp)) % lp
-        total += mobius(lp) * g * np.exp(-2j * np.pi * k * p0 / q)
+    for _, g, mu, p0 in divisor_hits(q, a, b):
+        if k % g == 0:
+            total += mu * g * np.exp(-2j * np.pi * k * p0 / q)
     return complex(total)
 
 
@@ -231,18 +233,11 @@ def ramanujan_period(q: int, a: int = 0, b: int = 1) -> np.ndarray:
     touches exactly the frequencies that are multiples of ``q / l``.
     Cost is O(q * d(q) / average stride), far below the O(q^2) direct sum.
     """
-    if q < 1:
-        raise ValueError(f"modulus must be >= 1, got {q}")
-    _validate_pair(a, b)
     out = np.zeros(q, dtype=np.complex128)
-    for lp in squarefree_divisors(q):
-        if math.gcd(lp, b) != 1:
-            continue
-        g = q // lp
-        p0 = (-a * pow(b, -1, lp)) % lp
+    for lp, g, mu, p0 in divisor_hits(q, a, b):
         # frequencies g*t for t in [0, lp); phase reduces to -t*p0/lp
         phases = np.exp(-2j * np.pi * p0 * np.arange(lp, dtype=np.float64) / lp)
-        out[::g] += mobius(lp) * g * phases
+        out[::g] += mu * g * phases
     return out
 
 

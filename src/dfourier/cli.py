@@ -9,12 +9,11 @@ partial measure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from dfourier.arith import (
     ramanujan_sum_bruteforce,
@@ -51,9 +50,8 @@ BUILD_LOG = "build_log.json"
 # run configuration
 # ----------------------------------------------------------------------
 
-# integer keys and their least valid values
-_INT_FLOORS = (("stages", 0), ("bandwidth_budget", 1), ("samples_per_band", 1),
-               ("kernel_halfwidth", 1), ("band_margin", 0), ("upper_q_max", 2))
+# integer run keys and their least valid values
+_INT_FLOORS = (("stages", 0), ("upper_q_max", 2))
 
 
 @dataclass(frozen=True)
@@ -62,23 +60,19 @@ class RunConfig:
 
     ``profile`` holds the nested profile descriptor.  ``eta = None``
     defers to the builder default (0.9 times the critical exponent).
-    ``upper_q_max`` bounds the upper report's moduli; the other numeric
-    keys but ``eps`` and ``stages`` are ``BuildConfig`` fields.
-    ``validate`` rejects a value of the wrong type or out of range.
+    ``upper_q_max`` bounds the upper report's moduli.  The flat keys that
+    name ``BuildConfig`` fields go to ``build``, which owns their defaults
+    and checks; ``analyze`` reads every build key from the artifact.
+    ``validate`` checks the run keys.
     """
     profile: dict | None = None
     eta: float | None = None
     eps: float = 0.05
     stages: int = 3
-    xi_max: float = 65536.0
-    tail_tol: float = 1e-8
-    bandwidth_budget: int = 1 << 20
     output_dir: str = "."
     format: str = "json"
-    samples_per_band: int = 32
-    kernel_halfwidth: int = 64
-    band_margin: int = 512
     upper_q_max: int = 500
+    build: BuildConfig = field(default_factory=BuildConfig)
 
     def validate(self) -> None:
         if self.format not in ("json", "csv"):
@@ -90,26 +84,16 @@ class RunConfig:
             if type(value) is not int or value < least:
                 raise ProfileError(
                     f"config key {name} must be an integer >= {least}")
-        for name in ("eta", "eps", "xi_max", "tail_tol"):
-            value = getattr(self, name)
-            if (type(value) not in (int, float) or not math.isfinite(value)) \
-                    and not (name == "eta" and value is None):
-                raise ProfileError(f"config key {name} must be a number")
-        if not (self.eps > 0.0 and self.tail_tol > 0.0 and self.xi_max >= 1):
-            raise ProfileError("config keys eps and tail_tol must be positive "
-                               "and xi_max at least 1")
-        if self.eta is not None and not 0.0 < self.eta < 1.0:
+        if type(self.eps) not in (int, float) or not 0.0 < self.eps < math.inf:
+            raise ProfileError("config key eps must be a finite number > 0")
+        if self.eta is not None and (type(self.eta) not in (int, float)
+                                     or not 0.0 < self.eta < 1.0):
             raise ProfileError("config key eta must lie in (0, 1)")
 
-    def build_config(self) -> BuildConfig:
-        return BuildConfig(
-            xi_max=int(self.xi_max), samples_per_band=self.samples_per_band,
-            tail_tol=self.tail_tol, bandwidth_budget=self.bandwidth_budget,
-            kernel_halfwidth=self.kernel_halfwidth,
-            band_margin=self.band_margin)
 
-
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
+# the bump kernel is fixed; every other BuildConfig field is a flat key
+_BUILD_KEYS = {f.name for f in fields(BuildConfig)} - {"bump"}
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"build"} | _BUILD_KEYS
 
 
 def load_run_config(path: str | None, overrides: dict) -> RunConfig:
@@ -125,7 +109,8 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
             raise ProfileError(f"unknown config keys: {sorted(unknown)}")
     data.update({k: v for k, v in overrides.items()
                  if k in _CONFIG_KEYS and v is not None})
-    cfg = RunConfig(**data)
+    build = BuildConfig(**{k: data.pop(k) for k in _BUILD_KEYS & set(data)})
+    cfg = RunConfig(**data, build=build)
     cfg.validate()
     return cfg
 
@@ -162,19 +147,16 @@ def _fmt_value(z: complex) -> str:
 
 
 def cmd_ramanujan(args: argparse.Namespace) -> int:
-    if args.b < 1 or math.gcd(args.a, args.b) != 1:
-        print(f"error: pair ({args.a}, {args.b}) must be coprime with b >= 1",
-              file=sys.stderr)
+    try:
+        if args.method in ("brute", "both"):
+            brute = ramanujan_sum_bruteforce(args.q, args.k, args.a, args.b)
+            print(f"brute   = {_fmt_value(brute)}")
+        if args.method in ("divisor", "both"):
+            div = ramanujan_sum_divisor(args.q, args.k, args.a, args.b)
+            print(f"divisor = {_fmt_value(div)}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.q < 1:
-        print("error: modulus must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.method in ("brute", "both"):
-        brute = ramanujan_sum_bruteforce(args.q, args.k, args.a, args.b)
-        print(f"brute   = {_fmt_value(brute)}")
-    if args.method in ("divisor", "both"):
-        div = ramanujan_sum_divisor(args.q, args.k, args.a, args.b)
-        print(f"divisor = {_fmt_value(div)}")
     if args.method == "both":
         print(f"|diff|  = {abs(brute - div):.3e}")
     return EXIT_OK
@@ -197,11 +179,16 @@ def cmd_buckets(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, vars(args))
     profile = _resolve_profile(cfg)
     eta = _resolve_eta(profile, cfg)
-    k_lo, k_hi = 1, None
-    if args.k_range:
-        lo, _, hi = args.k_range.partition(":")
+    lo, _, hi = (args.k_range or "").partition(":")
+    try:
         k_lo, k_hi = int(lo or 1), int(hi) if hi else None
-    sset = profile.scale_set(eta, k_max=k_hi)
+    except ValueError:
+        raise ProfileError(f"--k-range {args.k_range!r} is not LO:HI") from None
+    try:
+        sset = profile.scale_set(eta, k_max=k_hi)
+    except OverflowError:
+        raise ProfileError(f"--k-range {args.k_range!r} reaches scales 2**k "
+                           f"that overflow a float") from None
     rows = [e for e in sset.entries
             if e.k >= k_lo and (k_hi is None or e.k <= k_hi)]
     header = f"{'k':>3} {'M':>8} {'count':>8} {'mass':>14} " \
@@ -270,7 +257,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     eta = _resolve_eta(profile, cfg)
     try:
         stage = build_measure(profile, eta=eta, eps=cfg.eps,
-                              stages=cfg.stages, config=cfg.build_config())
+                              stages=cfg.stages, config=cfg.build)
     except (BandwidthBudgetError, WindowExhaustedError) as exc:
         code = EXIT_BUDGET if isinstance(exc, BandwidthBudgetError) \
             else EXIT_WINDOW
@@ -296,8 +283,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     stage = MeasureStage.load(args.stage_file)
-    decay = decay_report(stage, xi_max=cfg.xi_max,
-                         samples_per_band=cfg.samples_per_band)
+    decay = decay_report(stage)
     upper = borel_cantelli_report(stage, n_max=cfg.upper_q_max)
     os.makedirs(cfg.output_dir, exist_ok=True)
     if cfg.format == "json":

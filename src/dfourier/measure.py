@@ -33,14 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import (
-    TWO_PI,
-    divisor_sum,
-    divisors,
-    mobius,
-    residue_count,
-    squarefree_divisors,
-)
+from .arith import TWO_PI, divisor_hits, divisor_sum, divisors, residue_count
 from .bump import BumpSpec
 from .errors import (ArtifactError, BandwidthBudgetError, ProfileError,
                      WindowExhaustedError)
@@ -77,17 +70,12 @@ def _member_data(profile: ApproximationProfile, members: np.ndarray) -> list[_Me
         a, b = profile.pair(q)
         n_i = residue_count(q, b)
         theta = profile.theta_of(q)
-        hits = []
-        for lp in squarefree_divisors(q):
-            if math.gcd(lp, b) != 1:
-                continue
-            g = q // lp
-            p0 = (-a * pow(b, -1, lp)) % lp
-            # frequency l = g*j carries phase e(-j*(theta + p0)/lp)
-            hits.append((g, mobius(lp) * g / n_i, (theta + p0) / lp))
+        # frequency l = g*j carries phase e(-j*(theta + p0)/lp)
+        hits = tuple((g, mu * g / n_i, (theta + p0) / lp)
+                     for lp, g, mu, p0 in divisor_hits(q, a, b))
         sig = tuple((d, divisor_sum(d)) for d in divisors(q))
         data.append(_Member(q=q, rate=float(p) / q, count=n_i,
-                            hits=tuple(hits), sigma_divisors=sig))
+                            hits=hits, sigma_divisors=sig))
     return data
 
 
@@ -188,7 +176,7 @@ def certified_half_bandwidth(data: list[_Member], bump: BumpSpec,
 # series-level assembly
 # ----------------------------------------------------------------------
 
-def h0_series(bump: BumpSpec, tail_tol: float = 1e-13) -> TruncatedFourierSeries:
+def h0_series(bump: BumpSpec, tail_tol: float) -> TruncatedFourierSeries:
     """Integer-frequency series of the unit-interval window h0."""
     L = 1
     while 2.0 * bump.window_tail_sum(L) > tail_tol:
@@ -325,7 +313,7 @@ class GapResult:
 
 def stability_gap(profile: ApproximationProfile, bump: BumpSpec, eta: float,
                   eps: float, scale: int, periodic: TruncatedFourierSeries,
-                  xi_grid: np.ndarray, kernel_halfwidth: int = 64) -> GapResult:
+                  xi_grid: np.ndarray, kernel_halfwidth: int) -> GapResult:
     """Weighted sup over the grid of the candidate-induced perturbation.
 
     ``periodic`` is the series of the g-product accumulated so far,
@@ -374,7 +362,7 @@ def select_next_scale(profile: ApproximationProfile, bump: BumpSpec, eta: float,
                       eps: float, scale_entries, prev_scale: int,
                       threshold: float | None,
                       periodic: TruncatedFourierSeries, xi_grid: np.ndarray,
-                      kernel_halfwidth: int = 64) -> tuple[GapResult, list]:
+                      kernel_halfwidth: int) -> tuple[GapResult, list]:
     """First admissible scale past 2*prev_scale whose gap clears the threshold.
 
     ``threshold`` is None on the opening stage, where the first candidate
@@ -406,9 +394,19 @@ def select_next_scale(profile: ApproximationProfile, bump: BumpSpec, eta: float,
 # build driver
 # ----------------------------------------------------------------------
 
+# integer build keys and their least valid values
+_INT_FLOORS = (("bandwidth_budget", 1), ("samples_per_band", 1),
+               ("kernel_halfwidth", 1), ("band_margin", 0))
+
+
 @dataclass(frozen=True)
 class BuildConfig:
-    """Knobs of the stage builder; defaults match the reference pipeline."""
+    """Parameters of the stage builder; defaults match the reference pipeline.
+
+    The one owner of the build keys: CLI configs, library callers and
+    artifact headers all pass its checks, which raise ``ProfileError``
+    naming the key.  An integral float ``xi_max`` is stored as an int.
+    """
     xi_max: int = 65536
     samples_per_band: int = 32
     tail_tol: float = 1e-8
@@ -416,6 +414,23 @@ class BuildConfig:
     bump: BumpSpec = field(default_factory=BumpSpec)
     kernel_halfwidth: int = 64
     band_margin: int = 512
+
+    def __post_init__(self) -> None:
+        for name, least in _INT_FLOORS:
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ProfileError(
+                    f"config key {name} must be an integer >= {least}")
+        x, t = self.xi_max, self.tail_tol
+        if type(x) not in (int, float) or not (x >= 1 and x % 1 == 0):
+            raise ProfileError("config key xi_max must be a whole number >= 1")
+        if type(t) not in (int, float) or not 0.0 < t < math.inf:
+            raise ProfileError("config key tail_tol must be a number in (0, inf)")
+        object.__setattr__(self, "xi_max", int(x))
+
+    def h0(self) -> TruncatedFourierSeries:
+        """Window series at the build tolerance, never coarser than 1e-13."""
+        return h0_series(self.bump, min(self.tail_tol, 1e-13))
 
 
 @dataclass(frozen=True)
@@ -458,7 +473,7 @@ class MeasureStage:
         of coefficients on each side misses the product terms beyond the
         cut; the product's tail bound prices that.
         """
-        h0 = h0_series(self.config.bump, min(self.config.tail_tol, 1e-13))
+        h0 = self.config.h0()
         full = series_multiply(self.gfactors, h0).symmetrized()
         return full.slice_to(min(_export_band(self.config, h0),
                                  full.half_bandwidth))
@@ -656,7 +671,7 @@ def build_measure(profile: ApproximationProfile, eta: float | None = None,
 
     entries = profile.scale_set(eta).admissible()
     xi_grid = build_xi_grid(cfg.xi_max, cfg.samples_per_band)
-    h0 = h0_series(bump, min(cfg.tail_tol, 1e-13))
+    h0 = cfg.h0()
     # non-final products reserve the window band so the density product
     # in _finalize can never be the first thing to overflow
     prod_budget = cfg.bandwidth_budget - 2 * h0.half_bandwidth

@@ -72,6 +72,13 @@ def test_ramanujan_usage_errors(capsys):
     assert main(["ramanujan", "0", "1"]) == EXIT_USAGE
 
 
+def test_ramanujan_beyond_factor_limit_is_usage_error(capsys):
+    assert main(["ramanujan", "10000000000000", "1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "refusing to factor" in captured.err
+    assert captured.out == ""
+
+
 def test_residues_enumeration_matches_formula(capsys):
     assert main(["residues", "12", "1", "2"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -145,6 +152,18 @@ def test_buckets_warns_when_eta_reaches_critical(capsys):
                  "--eta", "0.5", "--k-range", "1:2"]) == EXIT_OK
     err = capsys.readouterr().err
     assert "not below the critical exponent" in err
+
+
+@pytest.mark.parametrize("k_range", ["x:3", "3:99999999"])
+def test_buckets_bad_k_range_is_usage_error(tmp_path, capsys, k_range):
+    # a malformed range, or one whose scales 2**k overflow a float
+    cfg = tiny_config(tmp_path, 50)
+    assert main(["buckets", "--config", cfg, "--k-range", k_range]) \
+        == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--k-range" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_buckets_needs_profile(tmp_path, capsys):
@@ -299,12 +318,16 @@ def test_analyze_corrupt_artifact_is_usage_error(st1, tmp_path, capsys):
             raw, lambda h: h["config"]["bump"].pop("shrink")),
         # a format-1 header (the two-block layout before the checksum)
         "v1.bin": _rewrite_header(raw, lambda h: h.update(format=1)),
+        # a build value the builder would reject, read back from a header
+        "halfwidth0.bin": _rewrite_header(
+            raw, lambda h: h["config"].update(kernel_halfwidth=0)),
     }
     reasons = {"value.bin": "checksum mismatch",
                "lost_key.bin": "header config keys differ",
                "extra_key.bin": "header config keys differ",
                "lost_bump_key.bin": "header config keys differ",
-               "v1.bin": "artifact format 1 is not 2; rebuild the stage"}
+               "v1.bin": "artifact format 1 is not 2; rebuild the stage",
+               "halfwidth0.bin": "kernel_halfwidth"}
     for name, blob in cases.items():
         path = tmp_path / name
         path.write_bytes(blob)
@@ -334,6 +357,31 @@ def test_analyze_csv_format(st1, tmp_path, capsys):
     assert "reports written to" in out
 
 
+def test_analyze_reads_build_keys_from_the_artifact(tmp_path, capsys):
+    # one artifact, one report: analyze samples on the grid the artifact
+    # was built for, whatever build keys its own config carries
+    data = json.loads(Path(REFERENCE_CONFIG).read_text())
+    data.update(xi_max=4096, stages=1, output_dir=str(tmp_path / "b"))
+    build_cfg = tmp_path / "build.json"
+    build_cfg.write_text(json.dumps(data))
+    assert main(["build", "--config", str(build_cfg)]) == EXIT_OK
+    stage_file = str(tmp_path / "b" / "stage.bin")
+    ways = {"none": [], "build": ["--config", str(build_cfg)],
+            "other": ["--xi-max", "1000", "--samples-per-band", "8"]}
+    reports = set()
+    for name, extra in ways.items():
+        out_dir = tmp_path / name
+        assert main(["analyze", stage_file, *extra, "--output-dir",
+                     str(out_dir), "--upper-q-max", "50"]) == EXIT_OK
+        reports.add((out_dir / "decay_report.json").read_bytes())
+    assert len(reports) == 1
+    # the config's build keys are still checked
+    capsys.readouterr()
+    assert main(["analyze", stage_file, "--xi-max", "1000.3",
+                 "--output-dir", str(tmp_path / "bad")]) == EXIT_USAGE
+    assert "xi_max" in capsys.readouterr().err
+
+
 def test_malformed_config_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -360,6 +408,7 @@ def test_every_config_key_has_a_flag():
 BAD_RUN_CONFIGS = [
     # (key, value, given as a flag or in the config file)
     ("xi_max", "0.5", "flag"),
+    ("xi_max", "4096.7", "flag"),
     ("kernel_halfwidth", "-3", "flag"),
     ("kernel_halfwidth", "0", "flag"),
     ("band_margin", "-100000", "flag"),

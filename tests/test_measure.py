@@ -326,3 +326,22 @@ def test_build_rejects_rough_kernel(reference_profile):
     cfg = BuildConfig(bump=BumpSpec(smoothness=4))
     with pytest.raises(ProfileError, match="smoothness"):
         build_measure(reference_profile, eta=ETA, stages=0, config=cfg)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("samples_per_band", 0),
+    ("kernel_halfwidth", 0),
+    ("band_margin", -1),
+    ("bandwidth_budget", 0),
+    ("xi_max", 4096.7),
+    ("tail_tol", -1.0),
+])
+def test_build_config_rejects_bad_values(key, value):
+    # one check for the CLI, library callers and artifact headers alike
+    with pytest.raises(ProfileError, match=key):
+        BuildConfig(**{key: value})
+
+
+def test_build_config_stores_integral_xi_max_as_int():
+    cfg = BuildConfig(xi_max=4096.0)
+    assert cfg.xi_max == 4096 and type(cfg.xi_max) is int
