@@ -24,6 +24,15 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+def _libm_pow(x: np.ndarray, e: int) -> np.ndarray:
+    """x**e entry by entry through the C library's pow, as Python floats do.
+
+    ``np.power`` may take a SIMD pow that differs in the last bit, and a
+    last bit can move a certified band edge.
+    """
+    return np.array([v ** e for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 @lru_cache(maxsize=64)
 def _rising_pieces(m: int) -> np.ndarray:
     """Horner coefficients of the rising half of the cardinal B-spline.
@@ -126,6 +135,25 @@ class BumpSpec:
         w = self.box_halfwidth
         return np.sinc(2.0 * w * np.asarray(xi, dtype=float)) ** self.order
 
+    def fourier_steps(self, step: float, j: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+        """``fourier(step * j)`` for j >= 0 into ``out``; overwrites ``j``.
+
+        The form the factor kernel runs on long vectors: sinc(2*w*step*j)
+        is one sine per point divided by its argument, and the m-th power
+        comes from repeated squaring, all in the caller's two buffers.
+        Agrees with ``fourier`` to a few ulps.
+        """
+        x = np.multiply(j, TWO_PI * self.box_halfwidth * step, out=j)
+        np.maximum(x, 1e-300, out=x)        # sin(x)/x is exactly 1 there
+        np.divide(np.sin(x, out=out), x, out=x)
+        np.copyto(out, x)
+        for bit in bin(self.order)[3:]:     # the bits after the leading one
+            np.multiply(out, out, out=out)
+            if bit == "1":
+                np.multiply(out, x, out=out)
+        return out
+
     def envelope(self, xi):
         """Pointwise majorant min(1, (2*pi*w*|xi|)**-m) of |fourier|."""
         m = self.order
@@ -133,24 +161,28 @@ class BumpSpec:
         t = TWO_PI * w * np.abs(np.asarray(xi, dtype=float))
         return np.where(t > 1.0, np.maximum(t, 1.0) ** (-m), 1.0)
 
-    def envelope_tail_sum(self, rate: float, start: int) -> float:
+    def envelope_tail_sum(self, rate, start):
         """One-sided envelope tail sum_{l > start} envelope(rate * l).
 
         Counts the flat region exactly and bounds the decaying part by
         the integral comparison swap, so the result is a true upper
-        bound.  ``rate`` must be positive (a zero rate has no decay).
+        bound; a rate <= 0 has no decay and gives inf.  Arrays of rates
+        and starts broadcast, and every entry is the float that the
+        formula gives in Python floats.
         """
-        if rate <= 0.0:
-            return math.inf
         m = self.order
-        start = max(int(start), 0)
-        x0 = 1.0 / (TWO_PI * self.box_halfwidth * rate)  # envelope reaches 1 below x0
-        flat_top = math.floor(x0)
-        n_flat = max(0, flat_top - start)
-        t0 = max(start, flat_top, 1)
+        rate = np.asarray(rate, dtype=float)
+        start = np.maximum(np.asarray(start, dtype=np.int64), 0)
+        decays = rate > 0.0
+        # envelope reaches 1 below x0
+        x0 = 1.0 / (TWO_PI * self.box_halfwidth * np.where(decays, rate, 1.0))
+        flat_top = np.floor(x0)
+        n_flat = np.maximum(flat_top - start, 0.0)
+        t0 = np.maximum(np.maximum(start, flat_top), 1.0)
         # sum_{l > t0} (l/x0)^-m  <=  x0^m * t0^(1-m) / (m-1)
-        decay = (x0**m) * float(t0) ** (1 - m) / (m - 1)
-        return n_flat + decay
+        decay = _libm_pow(x0, m) * _libm_pow(t0, 1 - m) / (m - 1)
+        out = np.where(decays, n_flat + decay, math.inf)
+        return float(out) if out.ndim == 0 else out
 
     # ------------------------------------------------------------------
     # the unit-interval window h0

@@ -12,7 +12,11 @@ at width psi(q)/q.  In frequency space each Phi_q contributes
 so a factor is assembled divisor by divisor: the divisor-sum form of
 S(q, .) touches only frequencies that are multiples of q/lp, which keeps
 the cost proportional to the number of nonzero hits rather than to the
-band width times the bucket size.
+band width times the bucket size.  Along one hit, l = g*j carries the
+phase e(-j*(theta + p0)/lp); it is read off two short tables whose
+arguments are reduced exactly (theta split in two 26-bit halves, p0*j
+mod lp in integers), one complex product per term, and the kernel
+factor costs one sine per term.
 
 Scale selection walks the admissible dyadic scales and accepts the first
 candidate whose stability gap (the weighted sup of the perturbation the
@@ -44,9 +48,14 @@ _ARTIFACT_MAGIC = b"DFMS"
 _ARTIFACT_VERSION = 2
 
 # assemble_line works through a half-line in sequential chunks of this many
-# frequencies to bound its per-(member, hit) temporaries: one pass over the
-# 1.84M-long M=16 half-line takes gm_series from 147 to 221 MB peak RSS
+# frequencies to bound its scratch buffers: one pass over the 1.84M-long
+# M=16 half-line takes gm_series from 147 to 221 MB peak RSS
 _CHUNK = 1 << 20
+
+# phase tables: j = _BLOCK*a + b, so e(-j*phase) = coarse[a] * fine[b]
+_BLOCK = 1024
+# below this, theta_hi*j and theta_lo*j are exact products
+_J_LIMIT = 1 << 26
 
 
 # ----------------------------------------------------------------------
@@ -58,7 +67,8 @@ class _Member:
     q: int
     rate: float                 # psi(q) / q
     count: int                  # #I_q
-    hits: tuple                 # (stride g, coef mu(lp)*g/#I_q, phase shift)
+    hits: tuple                 # (stride g, coef mu(lp)*g/#I_q, lp, p0)
+    theta: tuple                # theta(q) as hi + lo, 26 significant bits each
     sigma_divisors: tuple       # (d, sigma(d)) over divisors of q
 
 
@@ -70,32 +80,97 @@ def _member_data(profile: ApproximationProfile, members: np.ndarray) -> list[_Me
         a, b = profile.pair(q)
         n_i = residue_count(q, b)
         theta = profile.theta_of(q)
+        big = 134217729.0 * theta           # 2**27 + 1: Veltkamp split
+        hi = big - (big - theta)
         # frequency l = g*j carries phase e(-j*(theta + p0)/lp)
-        hits = tuple((g, mu * g / n_i, (theta + p0) / lp)
+        hits = tuple((g, mu * g / n_i, lp, p0)
                      for lp, g, mu, p0 in divisor_hits(q, a, b))
         sig = tuple((d, divisor_sum(d)) for d in divisors(q))
-        data.append(_Member(q=q, rate=float(p) / q, count=n_i,
-                            hits=hits, sigma_divisors=sig))
+        data.append(_Member(q=q, rate=float(p) / q, count=n_i, hits=hits,
+                            theta=(hi, theta - hi), sigma_divisors=sig))
     return data
+
+
+def _phases(theta: tuple, lp: int, p0: int, j: np.ndarray) -> tuple:
+    """Real and imaginary parts of e(-j*(theta + p0)/lp) at int64 j < 2**26.
+
+    The argument is reduced exactly: theta_hi*j and theta_lo*j are exact
+    products, their remainders mod lp are exact, and so is p0*j mod lp in
+    integers; only the sum and the division by lp round.
+    """
+    jf = j.astype(np.float64)
+    t = np.fmod(theta[0] * jf, lp)
+    if p0:
+        t += (p0 * j) % lp
+    t += np.fmod(theta[1] * jf, lp)
+    t /= lp
+    t -= np.round(t)
+    t *= -TWO_PI
+    return np.cos(t), np.sin(t)
+
+
+def _phase_run(theta: tuple, lp: int, p0: int, coef: float, j0: int, n: int,
+               re: np.ndarray, im: np.ndarray, tmp: np.ndarray) -> int:
+    """coef * e(-j*(theta + p0)/lp) for j in [j0, j0 + n) into re and im.
+
+    The values are coarse[a] * fine[b] at j = _BLOCK*a + b, with the two
+    short tables taken on the absolute j and the complex product spelled
+    out in real operations, each rounded once whatever loop numpy picks;
+    so every value depends on j alone.  Returns the offset of j0 in the
+    buffers.
+    """
+    a0, a1 = j0 // _BLOCK, (j0 + n - 1) // _BLOCK
+    b0 = j0 - a0 * _BLOCK
+    # one block needs only its own fine entries
+    f_lo, f_hi = (b0, b0 + n) if a0 == a1 else (0, _BLOCK)
+    na = a1 - a0 + 1
+    p_re, p_im = _phases(theta, lp, p0, np.concatenate(
+        (_BLOCK * np.arange(a0, a1 + 1), np.arange(f_lo, f_hi))))
+    c_re, c_im = coef * p_re[:na, None], coef * p_im[:na, None]
+    f_re, f_im = p_re[na:], p_im[na:]
+    shape = (na, f_hi - f_lo)
+    t_re, t_im, t_tmp = (buf[:shape[0] * shape[1]].reshape(shape)
+                         for buf in (re, im, tmp))
+    np.multiply(c_re, f_re, out=t_re)
+    np.subtract(t_re, np.multiply(c_im, f_im, out=t_tmp), out=t_re)
+    np.multiply(c_re, f_im, out=t_im)
+    np.add(t_im, np.multiply(c_im, f_re, out=t_tmp), out=t_im)
+    return b0 - f_lo
 
 
 def _line_segment(data: list[_Member], bump: BumpSpec,
                   l_lo: int, l_hi: int) -> np.ndarray:
-    """Unnormalized coefficient sum over members for l in [l_lo, l_hi]."""
-    out = np.zeros(l_hi - l_lo + 1, dtype=np.complex128)
+    """Unnormalized coefficient sum over members for l in [l_lo, l_hi].
+
+    Per hit, the terms j of l = g*j take their phase from ``_phase_run``
+    and their kernel factor from one sine per term, in scratch buffers
+    allocated once; each term depends on j alone, not on the window.
+    """
+    n_max = l_hi - l_lo + 1
+    out = np.zeros(n_max, dtype=np.complex128)
+    out_f = out.view(np.float64)
+    ramp = np.arange(n_max, dtype=np.float64)
+    re, im, tmp = (np.empty(n_max + 2 * _BLOCK) for _ in range(3))
+    kern = np.empty(n_max)
     for mem in data:
-        for g, coef, shift in mem.hits:
+        for g, coef, lp, p0 in mem.hits:
             j0 = -((-l_lo) // g)        # ceil(l_lo / g)
             j1 = l_hi // g
             if j1 < j0:
                 continue
-            j = np.arange(j0, j1 + 1, dtype=np.float64)
-            u = -shift * j
-            u -= np.round(u)
-            vals = coef * np.exp((TWO_PI * 1j) * u)
-            vals *= bump.fourier(mem.rate * g * j)
-            idx = (g * np.arange(j0, j1 + 1, dtype=np.int64)) - l_lo
-            out[idx] += vals
+            if j1 >= _J_LIMIT or p0 * j1 >= 1 << 63:
+                raise ValueError(f"frequency {g * j1} is beyond the exact "
+                                 f"phase tables (j < 2**26 at stride {g}, "
+                                 f"p0*j < 2**63)")
+            n = j1 - j0 + 1
+            k = _phase_run(mem.theta, lp, p0, coef, j0, n, re, im, tmp)
+            w = bump.fourier_steps(mem.rate * g,
+                                   np.add(ramp[:n], j0, out=tmp[:n]),
+                                   kern[:n])
+            start = 2 * (g * j0 - l_lo)
+            for part, pos in ((re, start), (im, start + 1)):
+                vals = np.multiply(part[k:k + n], w, out=part[k:k + n])
+                out_f[pos::2 * g][:n] += vals
     return out
 
 
@@ -119,6 +194,30 @@ def _mirror_half_line(half: np.ndarray) -> np.ndarray:
     return np.concatenate([np.conj(half[:0:-1]), half])
 
 
+def _tail_function(data: list[_Member], bump: BumpSpec):
+    """``envelope_tail(data, bump, .)`` with its member arrays built once.
+
+    The (member, divisor d) entries carry rate*d, sigma(d) and d.  Each
+    evaluation places their terms in a member-by-divisor matrix padded
+    with zeros, sums it column by column and then the members one after
+    another: the order of the scalar loop, so the values are the same
+    floats.
+    """
+    rows, cols, rate_d, sig, div = (np.array(c) for c in zip(*(
+        (i, k, mem.rate * d, s, d) for i, mem in enumerate(data)
+        for k, (d, s) in enumerate(mem.sigma_divisors))))
+    counts = np.array([mem.count for mem in data], dtype=float)
+    terms = np.zeros((len(data), cols.max() + 1))
+
+    def tail(half_bandwidth: int) -> float:
+        terms[rows, cols] = sig * bump.envelope_tail_sum(
+            rate_d, half_bandwidth // div)
+        per_q = np.add.accumulate(terms, axis=1)[:, -1]
+        total = np.add.accumulate(per_q / counts)[-1]
+        return 2.0 * float(total) / len(data)
+    return tail
+
+
 def envelope_tail(data: list[_Member], bump: BumpSpec, half_bandwidth: int) -> float:
     """Certified l1 bound on the bucket average outside [-L, L].
 
@@ -126,14 +225,7 @@ def envelope_tail(data: list[_Member], bump: BumpSpec, half_bandwidth: int) -> f
     divisor d | q they share with q, so each group is a lacunary
     progression against the kernel envelope.
     """
-    total = 0.0
-    for mem in data:
-        per_q = 0.0
-        for d, sig in mem.sigma_divisors:
-            per_q += sig * bump.envelope_tail_sum(mem.rate * d,
-                                                  half_bandwidth // d)
-        total += per_q / mem.count
-    return 2.0 * total / len(data)
+    return _tail_function(data, bump)(half_bandwidth)
 
 
 def factor_tail_profiles(stage: MeasureStage) -> list[tuple]:
@@ -160,16 +252,17 @@ def certified_half_bandwidth(data: list[_Member], bump: BumpSpec,
     Returns (L, tail_at_L, complete); ``complete`` is False when even the
     cap does not reach the tolerance, in which case L is the cap.
     """
-    if envelope_tail(data, bump, cap) > tail_tol:
-        return cap, envelope_tail(data, bump, cap), False
+    tail = _tail_function(data, bump)
+    if tail(cap) > tail_tol:
+        return cap, tail(cap), False
     lo, hi = 0, cap
     while lo < hi:
         mid = (lo + hi) // 2
-        if envelope_tail(data, bump, mid) <= tail_tol:
+        if tail(mid) <= tail_tol:
             hi = mid
         else:
             lo = mid + 1
-    return lo, envelope_tail(data, bump, lo), True
+    return lo, tail(lo), True
 
 
 # ----------------------------------------------------------------------
@@ -178,11 +271,12 @@ def certified_half_bandwidth(data: list[_Member], bump: BumpSpec,
 
 def h0_series(bump: BumpSpec, tail_tol: float) -> TruncatedFourierSeries:
     """Integer-frequency series of the unit-interval window h0."""
+    # the tail decreases with L, so the far end decides reachability
+    if 2.0 * bump.window_tail_sum(10**6) > tail_tol:
+        raise ValueError("window tail does not reach the tolerance")
     L = 1
     while 2.0 * bump.window_tail_sum(L) > tail_tol:
         L += 1
-        if L > 10**6:
-            raise ValueError("window tail does not reach the tolerance")
     coeffs = bump.window_transform(np.arange(-L, L + 1, dtype=float))
     return TruncatedFourierSeries(coeffs, tail_bound=2.0 * bump.window_tail_sum(L))
 
@@ -662,6 +756,8 @@ def build_measure(profile: ApproximationProfile, eta: float | None = None,
         eta = 0.9 * s_res.value
     if not 0.0 < eta < 1.0:
         raise ProfileError(f"weight exponent eta={eta} outside (0, 1)")
+    if not 0.0 < eps < math.inf:
+        raise ProfileError("config key eps must be a finite number > 0")
     if not bump.check_smoothness(s_res.value):
         raise ProfileError(
             f"kernel smoothness {bump.smoothness} too low for exponent "

@@ -191,6 +191,17 @@ def test_build_window_only(tmp_path, capsys):
     assert log["scales"] == []
 
 
+@pytest.mark.parametrize("eps", ["nan", "-1.0", "inf"])
+def test_build_bad_eps_is_usage_error(tmp_path, capsys, eps):
+    out_dir = tmp_path / "e"
+    assert main(["build", "--config", REFERENCE_CONFIG, "--stages", "1",
+                 "--eps", eps, "--output-dir", str(out_dir)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "config key eps must be a finite number > 0" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out_dir.exists()
+
+
 def test_build_one_stage_then_analyze_round_trip(tmp_path, capsys):
     out_dir = tmp_path / "b1"
     assert main(["build", "--config", REFERENCE_CONFIG, "--stages", "1",

@@ -133,6 +133,110 @@ def test_assemble_line_matches_bruteforce_sum(reference_profile, monkeypatch):
         assert np.array_equal(assemble_line(data, BUMP, 0, 20000), one_pass)
 
 
+def _oracle_coefficient(prof, members, l, bump=BUMP):
+    """Bucket-averaged coefficient at l: every phase l*(p + theta)/q is
+    reduced exactly as a Fraction of float(theta), the terms are summed
+    with math.fsum and divided by the member count."""
+    re, im = [], []
+    for q, psi in zip(members.tolist(), prof.psi_values(members)):
+        rs = residue_set(q, *prof.pair(q))
+        theta = Fraction(float(prof.theta_of(q)))
+        w = float(bump.fourier(l * (float(psi) / q))) / rs.count
+        for p in rs.members.tolist():
+            u = float(l * (p + theta) / q % 1)
+            re.append(w * math.cos(2.0 * math.pi * u))
+            im.append(-w * math.sin(2.0 * math.pi * u))
+    return complex(math.fsum(re), math.fsum(im)) / len(members)
+
+
+@pytest.mark.parametrize("scale, ls", [(16, (82984, 85008, 85140)),
+                                       (8, (5400, 11466))])
+def test_assemble_line_matches_exact_phase_oracle(reference_profile, scale,
+                                                  ls):
+    # frequencies where rounding shift*j before reducing it cost the most
+    # (up to 2.1e-14 off); exactly reduced phases stay below 1e-16
+    prof = reference_profile
+    members = prof.bucket(ETA, scale).members
+    data = _member_data(prof, members)
+    line = assemble_line(data, BUMP, min(ls), max(ls))
+    for l in ls:
+        want = _oracle_coefficient(prof, members, l)
+        assert abs(line[l - min(ls)] - want) <= 1e-15, l
+
+
+@pytest.mark.parametrize("bump", [BUMP, BumpSpec(smoothness=7)])
+def test_assemble_line_is_chunk_invariant(reference_profile, monkeypatch,
+                                          bump):
+    # a window starting mid-block gives the same bits however it is cut
+    data = _member_data(reference_profile,
+                        reference_profile.bucket(ETA, 4).members)
+    lo, hi = 1500, 12000
+    one_pass = assemble_line(data, bump, lo, hi)
+    for chunk in (1023, 1025, 4097):
+        monkeypatch.setattr(measure, "_CHUNK", chunk)
+        assert np.array_equal(assemble_line(data, bump, lo, hi), one_pass)
+
+
+def test_assemble_line_odd_order_matches_bruteforce_sum(reference_profile):
+    # order 9: the kernel power by squaring for m != 12
+    bump = BumpSpec(smoothness=7)
+    members = reference_profile.bucket(ETA, 4).members
+    data = _member_data(reference_profile, members)
+    ls = range(1500, 1508)
+    want = np.array([_oracle_coefficient(reference_profile, members, l, bump)
+                     for l in ls])
+    got = assemble_line(data, bump, ls[0], ls[-1])
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_assemble_line_rejects_inexact_phase_range(reference_profile):
+    data = _member_data(reference_profile,
+                        reference_profile.bucket(ETA, 4).members)
+    with pytest.raises(ValueError, match="2\\*\\*26"):
+        assemble_line(data, BUMP, 1 << 26, 1 << 26)
+
+
+def _scalar_tail_sum(bump, rate, start):
+    """BumpSpec.envelope_tail_sum as the scalar formula in Python floats."""
+    m = bump.order
+    if rate <= 0.0:
+        return math.inf
+    x0 = 1.0 / (2.0 * math.pi * bump.box_halfwidth * rate)
+    flat_top = math.floor(x0)
+    t0 = max(start, flat_top, 1)
+    return max(0, flat_top - start) + (x0**m) * float(t0) ** (1 - m) / (m - 1)
+
+
+def _scalar_envelope_tail(data, bump, half_bandwidth):
+    """envelope_tail as the per-(member, divisor) loop of scalar sums."""
+    total = 0.0
+    for mem in data:
+        per_q = 0.0
+        for d, sig in mem.sigma_divisors:
+            per_q += sig * _scalar_tail_sum(bump, mem.rate * d,
+                                            half_bandwidth // d)
+        total += per_q / mem.count
+    return 2.0 * total / len(data)
+
+
+@pytest.mark.parametrize("scale", [4, 64, 256])
+def test_envelope_tail_equals_scalar_formula(reference_profile, scale):
+    data = _member_data(reference_profile,
+                        reference_profile.bucket(ETA, scale).members)
+    for L in (0, 1, 57, 15360, 1 << 16, 1 << 20, 1 << 30, 37275912996):
+        assert (measure.envelope_tail(data, BUMP, L)
+                == _scalar_envelope_tail(data, BUMP, L)), L
+
+
+def test_envelope_tail_sum_arrays_equal_scalar_formula():
+    rates = np.array([1e-18, 1e-9, 3.7e-5, 0.01, 0.505, 2.0, 0.0, -1.0])
+    starts = np.array([5, 0, 1, 57, 15360, 1 << 30, 3, 3])
+    got = BUMP.envelope_tail_sum(rates, starts)
+    for r, s, g in zip(rates.tolist(), starts.tolist(), got.tolist()):
+        assert g == _scalar_tail_sum(BUMP, r, s)
+        assert BUMP.envelope_tail_sum(r, s) == g
+
+
 # ----------------------------------------------------------------------
 # stability gap and scale selection
 # ----------------------------------------------------------------------
@@ -320,6 +424,14 @@ def test_load_flipped_byte_is_artifact_error(saved_st1, data):
 def test_build_rejects_eta_outside_unit_interval(reference_profile):
     with pytest.raises(ProfileError, match="eta"):
         build_measure(reference_profile, eta=1.5, stages=0)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), -1.0, float("inf")])
+def test_build_rejects_bad_eps(reference_profile, eps):
+    # the library check and its message are the CLI's
+    with pytest.raises(ProfileError,
+                       match="config key eps must be a finite number > 0"):
+        build_measure(reference_profile, eta=ETA, eps=eps, stages=1)
 
 
 def test_build_rejects_rough_kernel(reference_profile):
