@@ -48,8 +48,8 @@ _ARTIFACT_MAGIC = b"DFMS"
 _ARTIFACT_VERSION = 2
 
 # assemble_line works through a half-line in sequential chunks of this many
-# frequencies to bound its scratch buffers: one pass over the 1.84M-long
-# M=16 half-line takes gm_series from 147 to 221 MB peak RSS
+# frequencies to bound its scratch buffers, 56 bytes per frequency: one
+# pass over the 22.5M-long M=32 half-line would take 1.3 GB of them
 _CHUNK = 1 << 20
 
 # phase tables: j = _BLOCK*a + b, so e(-j*phase) = coarse[a] * fine[b]
