@@ -16,7 +16,10 @@ band width times the bucket size.  Along one hit, l = g*j carries the
 phase e(-j*(theta + p0)/lp); it is read off two short tables whose
 arguments are reduced exactly (theta split in two 26-bit halves, p0*j
 mod lp in integers), one complex product per term, and the kernel
-factor costs one sine per term.
+factor costs one sine per term.  Every term depends on j alone, so a
+line is cut into one contiguous span per available CPU and the spans run
+on threads (numpy releases the GIL in its loops); the coefficients are
+the same bits whatever the CPU count.
 
 Scale selection walks the admissible dyadic scales and accepts the first
 candidate whose stability gap (the weighted sup of the perturbation the
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -47,9 +51,16 @@ from .series import TruncatedFourierSeries, constant_series, series_multiply
 _ARTIFACT_MAGIC = b"DFMS"
 _ARTIFACT_VERSION = 2
 
-# assemble_line works through a half-line in sequential chunks of this many
-# frequencies to bound its scratch buffers, 56 bytes per frequency: one
-# pass over the 22.5M-long M=32 half-line would take 1.3 GB of them
+# assemble_line runs one span of a half-line per available CPU, none
+# shorter than _MIN_SPAN frequencies.  On 2 vCPUs, two spans of a window
+# below 2**17 frequencies mostly ran slower than one (0.8 to 1.3 times
+# the serial time at M = 4 to 256): the threads keep trading the GIL
+# between short numpy calls.  From 2**17 on they took 0.5 to 0.8 times.
+_MIN_SPAN = 1 << 16
+# each span works through sequential chunks of at most this many
+# frequencies to bound its scratch buffers, 32 bytes per frequency plus
+# an 8-byte ramp that the spans share: one pass over the 22.5M-long M=32
+# half-line would take 0.9 GB of them
 _CHUNK = 1 << 20
 
 # phase tables: j = _BLOCK*a + b, so e(-j*phase) = coarse[a] * fine[b]
@@ -138,20 +149,21 @@ def _phase_run(theta: tuple, lp: int, p0: int, coef: float, j0: int, n: int,
     return b0 - f_lo
 
 
-def _line_segment(data: list[_Member], bump: BumpSpec,
-                  l_lo: int, l_hi: int) -> np.ndarray:
-    """Unnormalized coefficient sum over members for l in [l_lo, l_hi].
+def _line_segment(data: list[_Member], bump: BumpSpec, out: np.ndarray,
+                  l_lo: int, l_hi: int, scratch: tuple) -> None:
+    """Add the unnormalized coefficient sum over members for l in [l_lo, l_hi].
 
-    Per hit, the terms j of l = g*j take their phase from ``_phase_run``
-    and their kernel factor from one sine per term, in scratch buffers
-    allocated once; each term depends on j alone, not on the window.
+    ``out`` holds the window's coefficients and ``scratch`` is
+    ``_scratch`` for at least its length.  Per hit, the terms j of
+    l = g*j take their phase from ``_phase_run`` and their kernel factor
+    from one sine per term; each term depends on j alone, not on the
+    window.  Runs on worker threads, so it calls nothing that the
+    benchmark's tracer wraps (``ApproximationProfile.bucket``,
+    ``BumpSpec.fourier``, ``BumpSpec.value``, ``residue_set``): its span
+    stack is not thread-local.
     """
-    n_max = l_hi - l_lo + 1
-    out = np.zeros(n_max, dtype=np.complex128)
     out_f = out.view(np.float64)
-    ramp = np.arange(n_max, dtype=np.float64)
-    re, im, tmp = (np.empty(n_max + 2 * _BLOCK) for _ in range(3))
-    kern = np.empty(n_max)
+    ramp, re, im, tmp, kern = scratch
     for mem in data:
         for g, coef, lp, p0 in mem.hits:
             j0 = -((-l_lo) // g)        # ceil(l_lo / g)
@@ -171,22 +183,67 @@ def _line_segment(data: list[_Member], bump: BumpSpec,
             for part, pos in ((re, start), (im, start + 1)):
                 vals = np.multiply(part[k:k + n], w, out=part[k:k + n])
                 out_f[pos::2 * g][:n] += vals
-    return out
+
+
+def _scratch(ramp: np.ndarray, n: int) -> tuple:
+    """Buffers (ramp, re, im, tmp, kern) for pieces of up to n frequencies.
+
+    ``ramp`` is 0, 1, 2, ... and only read, so spans share it.
+    """
+    return (ramp, *(np.empty(n + 2 * _BLOCK) for _ in range(3)), np.empty(n))
+
+
+def _assemble_span(data: list[_Member], bump: BumpSpec, out: np.ndarray,
+                   l_lo: int, l_hi: int, scratch: tuple) -> None:
+    """``_line_segment`` over [l_lo, l_hi] in sequential ``_CHUNK`` pieces."""
+    for a in range(l_lo, l_hi + 1, _CHUNK):
+        b = min(a + _CHUNK - 1, l_hi)
+        _line_segment(data, bump, out[a - l_lo:b - l_lo + 1], a, b, scratch)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def assemble_line(data: list[_Member], bump: BumpSpec, l_lo: int,
                   l_hi: int) -> np.ndarray:
     """Bucket-averaged coefficient line on the contiguous window [l_lo, l_hi].
 
-    Every in-window term of every divisor hit is summed; the window is
-    worked through in sequential ``_CHUNK``-long pieces, each summed in
-    the same order, so the result does not depend on where a chunk ends.
+    Every in-window term of every divisor hit is summed.  The window is
+    cut into one contiguous span per available CPU, none shorter than
+    ``_MIN_SPAN``, and the spans run on threads, each through its own
+    sequential ``_CHUNK``-long pieces into its own slice of the line.
+    Every term depends on j alone and every coefficient sums its terms
+    in the same order, so the result does not move a bit with the CPU
+    count or with where a span or a chunk ends.
     """
     if l_hi < l_lo:
         raise ValueError("empty frequency window")
-    return np.concatenate([
-        _line_segment(data, bump, a, min(a + _CHUNK - 1, l_hi))
-        for a in range(l_lo, l_hi + 1, _CHUNK)]) / len(data)
+    n = l_hi - l_lo + 1
+    line = np.zeros(n, dtype=np.complex128)
+    parts = max(1, min(_cpu_count(), n // _MIN_SPAN))
+    edges = [n * i // parts for i in range(parts + 1)]
+    ramp = np.arange(min(_CHUNK, -(-n // parts)), dtype=np.float64)
+    # the scratch is allocated here: worker threads allocating their own
+    # take separate malloc arenas, which raised the peak RSS of the M = 4,
+    # 8, 16 factors from 146 to 171 MB
+    jobs = [(line[a:b], l_lo + a, l_lo + b - 1,
+             _scratch(ramp, min(_CHUNK, b - a)))
+            for a, b in zip(edges, edges[1:])]
+    if parts == 1:
+        _assemble_span(data, bump, *jobs[0])
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(parts) as pool:
+            for done in [pool.submit(_assemble_span, data, bump, *job)
+                         for job in jobs]:
+                done.result()
+    line /= len(data)
+    return line
 
 
 def _mirror_half_line(half: np.ndarray) -> np.ndarray:

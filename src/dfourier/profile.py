@@ -161,6 +161,8 @@ class ApproximationProfile:
                             ("_theta", self.theta_table),
                             ("_pair", self.pair_table)):
             object.__setattr__(self, name, dict(table))
+        # bucket() results per (eta, scale), also outside the fields
+        object.__setattr__(self, "_buckets", {})
         object.__setattr__(self, "member_list",
                            tuple(sorted(int(q) for q in self.member_list)))
         object.__setattr__(self, "member_classes",
@@ -411,17 +413,24 @@ class ApproximationProfile:
         """Members q with (psi(q)/q)**eta in [1/(2M), 1/M), M = ``scale``.
 
         Boundary hits (u within one part in 1e12 of an integer) go to
-        the lower bucket, deterministically.
+        the lower bucket, deterministically.  Each bucket is built once
+        per profile; its member array is read-only.
         """
         k = int(scale).bit_length() - 1
         if scale != 1 << k:
             raise ProfileError("scale must be a power of two")
+        found = self._buckets.get((eta, scale))
+        if found is not None:
+            return found
         qs, _, idx = self._bucket_index(eta)
         members = qs[idx == k]
+        members.flags.writeable = False
         psi = self.psi_values(members)
         mass = float(np.sum((psi / members) ** eta)) if len(members) else 0.0
-        return Bucket(scale=scale, k=k, members=members, mass=mass,
-                      window_limited=self._window_limited(eta, k, members))
+        found = Bucket(scale=scale, k=k, members=members, mass=mass,
+                       window_limited=self._window_limited(eta, k, members))
+        self._buckets[(eta, scale)] = found
+        return found
 
     def _window_limited(self, eta: float, k: int, members: np.ndarray) -> bool:
         if self.psi_kind == "power_law" and self.member_kind == "all":

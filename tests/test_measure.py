@@ -1,6 +1,7 @@
 """Staged density builder: factors, scale selection, artifacts."""
 import math
 import struct
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,76 @@ def test_assemble_line_is_chunk_invariant(reference_profile, monkeypatch,
     for chunk in (1023, 1025, 4097):
         monkeypatch.setattr(measure, "_CHUNK", chunk)
         assert np.array_equal(assemble_line(data, bump, lo, hi), one_pass)
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(measure.os, "sched_getaffinity",
+                        lambda pid: set(range(n)), raising=False)
+
+
+def _record_pieces(monkeypatch):
+    """Wrap _line_segment to record the [l_lo, l_hi] of every piece."""
+    pieces, inner = [], measure._line_segment
+
+    def segment(data, bump, out, l_lo, l_hi, scratch):
+        pieces.append((l_lo, l_hi))
+        return inner(data, bump, out, l_lo, l_hi, scratch)
+    monkeypatch.setattr(measure, "_line_segment", segment)
+    return pieces
+
+
+@pytest.mark.parametrize("lo, hi, chunk, min_span", [
+    (1500, 200000, None, None),     # mid-block start, real span lengths
+    (1500, 200000, 40000, None),    # chunks shorter than a span
+    (77, 77, None, 1),              # one term
+    (1500, 1510, 2, 1),             # chunks shorter than the CPU count
+])
+def test_assemble_line_is_cpu_count_invariant(reference_profile, monkeypatch,
+                                              lo, hi, chunk, min_span):
+    data = _member_data(reference_profile,
+                        reference_profile.bucket(ETA, 8).members)
+    _cpus(monkeypatch, 1)
+    serial = assemble_line(data, BUMP, lo, hi)
+    for name, value in (("_CHUNK", chunk), ("_MIN_SPAN", min_span)):
+        if value is not None:
+            monkeypatch.setattr(measure, name, value)
+    pieces = _record_pieces(monkeypatch)
+    tilings = set()
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        pieces.clear()
+        assert np.array_equal(assemble_line(data, BUMP, lo, hi), serial), cpus
+        # nonempty pieces that cover the window once, without overlap
+        cut = sorted(pieces)
+        assert all(a <= b for a, b in cut), cut
+        assert cut[0][0] == lo and cut[-1][1] == hi, cut
+        assert all(b + 1 == c for (_, b), (c, _) in zip(cut, cut[1:])), cut
+        tilings.add(tuple(cut))
+    # every CPU count cut the window its own way, unless it is one term
+    assert len(tilings) == (1 if lo == hi else 3)
+
+
+def test_assemble_line_spans_call_no_traced_function(reference_profile,
+                                                     monkeypatch):
+    # the benchmark tracer keeps one span stack for the process, so the
+    # worker threads must stay clear of every function it wraps
+    traced = {"ApproximationProfile.bucket", "BumpSpec.fourier",
+              "BumpSpec.value", "residue_set"}
+    called = set()
+
+    def profiler(frame, event, arg):
+        if event == "call" and "dfourier" in frame.f_code.co_filename:
+            called.add(frame.f_code.co_qualname)
+    data = _member_data(reference_profile,
+                        reference_profile.bucket(ETA, 8).members)
+    _cpus(monkeypatch, 2)
+    threading.setprofile(profiler)
+    try:
+        assemble_line(data, BUMP, 0, 160000)
+    finally:
+        threading.setprofile(None)
+    assert {"_assemble_span", "_line_segment"} <= called
+    assert not called & traced
 
 
 def test_assemble_line_odd_order_matches_bruteforce_sum(reference_profile):

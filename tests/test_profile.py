@@ -63,6 +63,37 @@ def test_bucket_requires_power_of_two(reference_profile):
         reference_profile.bucket(1.5, 4)
 
 
+def _same_bucket(a, b):
+    return (np.array_equal(a.members, b.members) and a.mass == b.mass
+            and (a.scale, a.k, a.window_limited)
+            == (b.scale, b.k, b.window_limited))
+
+
+def test_bucket_memo_matches_fresh_profiles():
+    # two etas interleaved on one profile give what fresh profiles give
+    warm = power_law_profile(2.0, 50_000, q_min=2, theta=0.3)
+    asks = [(0.3, 8), (0.5, 8), (0.3, 16), (0.5, 8), (0.3, 8), (0.5, 32)]
+    first = {}
+    for eta, scale in asks:
+        got = warm.bucket(eta, scale)
+        fresh = power_law_profile(2.0, 50_000, q_min=2, theta=0.3)
+        assert _same_bucket(got, fresh.bucket(eta, scale)), (eta, scale)
+        assert got is first.setdefault((eta, scale), got)
+        assert not got.members.flags.writeable
+    # a warm profile still rejects a bad eta and a bad scale
+    for eta, scale in ((1.5, 8), (0.0, 8), (0.3, 6), (0.5, 12)):
+        with pytest.raises(ProfileError):
+            warm.bucket(eta, scale)
+    # the memo is outside the fields
+    cold = power_law_profile(2.0, 50_000, q_min=2, theta=0.3)
+    assert warm == cold and hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)
+    assert warm.to_descriptor() == cold.to_descriptor()
+    clone = ApproximationProfile.from_descriptor(warm.to_descriptor())
+    assert clone == warm and hash(clone) == hash(warm)
+    assert _same_bucket(clone.bucket(0.5, 8), warm.bucket(0.5, 8))
+
+
 def test_reference_scale_set(reference_profile):
     sset = reference_profile.scale_set(0.3, k_max=8)
     low = [e for e in sset.entries if e.k <= 8]
