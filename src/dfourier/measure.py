@@ -17,9 +17,12 @@ phase e(-j*(theta + p0)/lp); it is read off two short tables whose
 arguments are reduced exactly (theta split in two 26-bit halves, p0*j
 mod lp in integers), one complex product per term, and the kernel
 factor costs one sine per term.  Every term depends on j alone, so a
-line is cut into one contiguous span per available CPU and the spans run
-on threads (numpy releases the GIL in its loops); the coefficients are
-the same bits whatever the CPU count.
+line is cut into one contiguous span per available CPU, and the bucket
+into fixed blocks of members whose partial lines are added in block
+order; the (span, block) jobs run on threads (numpy releases the GIL in
+its loops).  Blocks split the hits, so no hit's fixed cost is paid
+twice, which is what makes the short gap-probe lines worth running on
+several CPUs.  The coefficients are the same bits whatever the CPU count.
 
 Scale selection walks the admissible dyadic scales and accepts the first
 candidate whose stability gap (the weighted sup of the perturbation the
@@ -54,9 +57,22 @@ _ARTIFACT_VERSION = 2
 # assemble_line runs one span of a half-line per available CPU, none
 # shorter than _MIN_SPAN frequencies.  On 2 vCPUs, two spans of a window
 # below 2**17 frequencies mostly ran slower than one (0.8 to 1.3 times
-# the serial time at M = 4 to 256): the threads keep trading the GIL
-# between short numpy calls.  From 2**17 on they took 0.5 to 0.8 times.
+# the serial time at M = 4 to 256): each span pays every hit's fixed
+# cost (its phase tables, about 90 us) again, and the threads keep
+# trading the GIL between short numpy calls.  From 2**17 on they took
+# 0.5 to 0.8 times.  Such short lines get their threads from member
+# blocks instead.
 _MIN_SPAN = 1 << 16
+# assemble_line sums the members in contiguous blocks of this many, one
+# job per (span, block) pair, and adds each later block's line to the
+# result in block order.  Blocks split the hits themselves, so no hit's
+# fixed cost is paid twice; a bucket of at most this many members is one
+# block and sums as one serial pass.  On 2 vCPUs the four 80,961-long
+# probe lines M = 32 to 256 took a median 1.56 s against 2.42 s on one
+# CPU; blocks of 16 and 64 were within the noise (1.60 and 1.51 s), and
+# 64 would leave the 54-member M = 32 line on one CPU.  The coefficients
+# depend on this length, so it is a constant, not an option.
+_BLOCK_MEMBERS = 32
 # each span works through sequential chunks of at most this many
 # frequencies to bound its scratch buffers, 32 bytes per frequency plus
 # an 8-byte ramp that the spans share: one pass over the 22.5M-long M=32
@@ -215,40 +231,78 @@ def assemble_line(data: list[_Member], bump: BumpSpec, l_lo: int,
 
     Every in-window term of every divisor hit is summed.  The window is
     cut into one contiguous span per available CPU, none shorter than
-    ``_MIN_SPAN``, and the spans run on threads, each through its own
-    sequential ``_CHUNK``-long pieces into its own slice of the line.
-    Every term depends on j alone and every coefficient sums its terms
-    in the same order, so the result does not move a bit with the CPU
-    count or with where a span or a chunk ends.
+    ``_MIN_SPAN``, and the members into contiguous blocks of
+    ``_BLOCK_MEMBERS``.  Each (span, block) pair is one job, run on a
+    thread through sequential ``_CHUNK``-long pieces.  Block 0 adds
+    straight into the line; every later block sums into its own zeroed
+    line, which is added to the result in block order, after every job
+    before it has finished.  A later block starts only while fewer such
+    lines than workers are alive.  Every term depends on j alone, so
+    each coefficient's bits depend on the block length only: not on the
+    CPU count, the order in which jobs finish, or where a span or a
+    chunk ends.
     """
     if l_hi < l_lo:
         raise ValueError("empty frequency window")
     n = l_hi - l_lo + 1
     line = np.zeros(n, dtype=np.complex128)
-    parts = max(1, min(_cpu_count(), n // _MIN_SPAN))
+    cpus = _cpu_count()
+    parts = max(1, min(cpus, n // _MIN_SPAN))
     edges = [n * i // parts for i in range(parts + 1)]
-    ramp = np.arange(min(_CHUNK, -(-n // parts)), dtype=np.float64)
-    # the scratch is allocated here: worker threads allocating their own
-    # take separate malloc arenas, which raised the peak RSS of the M = 4,
-    # 8, 16 factors from 146 to 171 MB
-    jobs = [(line[a:b], l_lo + a, l_lo + b - 1,
-             _scratch(ramp, min(_CHUNK, b - a)))
+    blocks = [data[i:i + _BLOCK_MEMBERS]
+              for i in range(0, len(data), _BLOCK_MEMBERS)]
+    # block-major: every block 0 comes first, so no block line is added
+    # while a block 0 still writes, and each span's blocks come in order
+    jobs = [(i, a, b) for i in range(len(blocks))
             for a, b in zip(edges, edges[1:])]
-    if parts == 1:
-        _assemble_span(data, bump, *jobs[0])
+    workers = max(1, min(cpus, len(jobs)))
+    ramp = np.arange(min(_CHUNK, -(-n // parts)), dtype=np.float64)
+    # the scratch and the block lines are allocated here: worker threads
+    # allocating their own take separate malloc arenas, which raised the
+    # peak RSS of the M = 4, 8, 16 factors from 146 to 171 MB
+    free = [_scratch(ramp, len(ramp)) for _ in range(workers)]
+    if len(jobs) <= 1:
+        _assemble_span(data, bump, line, l_lo, l_hi, free[0])
     else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(parts) as pool:
-            for done in [pool.submit(_assemble_span, data, bump, *job)
-                         for job in jobs]:
+        from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+        running = {}        # future: its scratch, until the job is done
+        pending = []        # (future, block, start, out) until folded
+
+        def settle():
+            """Wait for a job, take back the scratch of every finished
+            one, and fold the finished jobs that lead the job order."""
+            for done in wait(running, return_when=FIRST_COMPLETED)[0]:
+                free.append(running.pop(done))
+            while pending and pending[0][0] not in running:
+                done, i, a, out = pending.pop(0)
                 done.result()
+                if i:
+                    line[a:a + len(out)] += out
+
+        with ThreadPoolExecutor(workers) as pool:
+            for i, a, b in jobs:
+                while not free or (i and sum(p[1] > 0 for p in pending)
+                                   == workers):
+                    settle()
+                out = line[a:b] if i == 0 else np.zeros(b - a, np.complex128)
+                scratch = free.pop()
+                future = pool.submit(_assemble_span, blocks[i], bump, out,
+                                     l_lo + a, l_lo + b - 1, scratch)
+                running[future] = scratch
+                pending.append((future, i, a, out))
+            while pending:
+                settle()
     line /= len(data)
     return line
 
 
 def _mirror_half_line(half: np.ndarray) -> np.ndarray:
     """Extend coefficients on [0, L] to [-L, L] by Hermitian symmetry."""
-    return np.concatenate([np.conj(half[:0:-1]), half])
+    L = len(half) - 1
+    full = np.empty(2 * L + 1, dtype=half.dtype)
+    full[L:] = half
+    np.conjugate(half[:0:-1], out=full[:L])
+    return full
 
 
 def _tail_function(data: list[_Member], bump: BumpSpec):

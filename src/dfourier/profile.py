@@ -414,23 +414,28 @@ class ApproximationProfile:
 
         Boundary hits (u within one part in 1e12 of an integer) go to
         the lower bucket, deterministically.  Each bucket is built once
-        per profile; its member array is read-only.
+        per profile, here or by ``scale_set``, which hands over the
+        admissible ones; its member array is read-only.
         """
         k = int(scale).bit_length() - 1
         if scale != 1 << k:
             raise ProfileError("scale must be a power of two")
+        if not 0.0 < eta < 1.0:
+            raise ProfileError("weight exponent eta must lie in (0, 1)")
         found = self._buckets.get((eta, scale))
-        if found is not None:
-            return found
-        qs, _, idx = self._bucket_index(eta)
-        members = qs[idx == k]
+        if found is None:
+            qs, _, idx = self._bucket_index(eta)
+            found = self._new_bucket(eta, k, qs[idx == k])
+            self._buckets[(eta, scale)] = found
+        return found
+
+    def _new_bucket(self, eta: float, k: int, members: np.ndarray) -> "Bucket":
+        """The bucket at scale 2**k from its member array, made read-only."""
         members.flags.writeable = False
         psi = self.psi_values(members)
         mass = float(np.sum((psi / members) ** eta)) if len(members) else 0.0
-        found = Bucket(scale=scale, k=k, members=members, mass=mass,
-                       window_limited=self._window_limited(eta, k, members))
-        self._buckets[(eta, scale)] = found
-        return found
+        return Bucket(scale=1 << k, k=k, members=members, mass=mass,
+                      window_limited=self._window_limited(eta, k, members))
 
     def _window_limited(self, eta: float, k: int, members: np.ndarray) -> bool:
         if self.psi_kind == "power_law" and self.member_kind == "all":
@@ -451,27 +456,26 @@ class ApproximationProfile:
 
         A scale M = 2**k qualifies when its bucket mass is at least
         1/k**2; it is admissible when it also is not window-limited.
+        Every bucket is cut from one ``_bucket_index`` pass, and the
+        admissible ones go to the ``bucket`` memo (the whole window's
+        arrays are not kept), so a build indexes the window once.
         """
         qs, _, idx = self._bucket_index(eta)
-        psi = self.psi_values(qs)
-        weights = (psi / qs) ** eta
-        ks_present = sorted(int(k) for k in np.unique(idx) if k >= 1)
-        top = max(ks_present, default=0)
+        top = int(idx.max(initial=0))
         if k_max is not None:
             top = max(top, int(k_max))
         entries = []
         for k in range(1, top + 1):
-            sel = idx == k
-            members = qs[sel]
-            mass = float(np.sum(weights[sel])) if sel.any() else 0.0
+            b = self._new_bucket(eta, k, qs[idx == k])
             M = 1 << k
-            count = int(sel.sum())
-            ratio = count / (M / math.log(M) ** 2)
-            entries.append(ScaleEntry(
-                k=k, scale=M, count=count, mass=mass,
-                qualifies=bool(mass >= 1.0 / k**2),
-                window_limited=self._window_limited(eta, k, members),
-                size_ratio=ratio))
+            entry = ScaleEntry(
+                k=k, scale=M, count=b.count, mass=b.mass,
+                qualifies=bool(b.mass >= 1.0 / k**2),
+                window_limited=b.window_limited,
+                size_ratio=b.count / (M / math.log(M) ** 2))
+            if entry.qualifies and not entry.window_limited:
+                self._buckets.setdefault((eta, M), b)
+            entries.append(entry)
         return ScaleSet(eta=eta, entries=tuple(entries))
 
 

@@ -1,7 +1,9 @@
 """Staged density builder: factors, scale selection, artifacts."""
 import math
 import struct
+import sys
 import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -151,7 +153,8 @@ def _oracle_coefficient(prof, members, l, bump=BUMP):
 
 
 @pytest.mark.parametrize("scale, ls", [(16, (82984, 85008, 85140)),
-                                       (8, (5400, 11466))])
+                                       (8, (5400, 11466)),
+                                       (64, (10033, 40663, 80960))])
 def test_assemble_line_matches_exact_phase_oracle(reference_profile, scale,
                                                   ls):
     # frequencies where rounding shift*j before reducing it cost the most
@@ -242,6 +245,122 @@ def test_assemble_line_spans_call_no_traced_function(reference_profile,
     threading.setprofile(profiler)
     try:
         assemble_line(data, BUMP, 0, 160000)
+    finally:
+        threading.setprofile(None)
+    assert {"_assemble_span", "_line_segment"} <= called
+    assert not called & traced
+
+
+def _block_fold(data, lo, hi):
+    """assemble_line by definition: each member block summed on its own
+    by one serial _assemble_span pass, the block lines added in order."""
+    n = hi - lo + 1
+    ramp = np.arange(min(measure._CHUNK, n), dtype=np.float64)
+    line = np.zeros(n, dtype=complex)
+    for i in range(0, len(data), measure._BLOCK_MEMBERS):
+        part = np.zeros(n, dtype=complex)
+        measure._assemble_span(data[i:i + measure._BLOCK_MEMBERS], BUMP, part,
+                               lo, hi, measure._scratch(ramp, len(ramp)))
+        line = part if i == 0 else line + part
+    return line / len(data)
+
+
+@pytest.mark.parametrize("scale, lo, hi, chunk, min_span", [
+    (64, 0, 80960, None, None),         # 118 members, 4 blocks, probe length
+    (64, 1500, 200000, 40000, 30000),   # blocks times several spans
+    (256, 0, 80960, None, None),        # 550 members, 18 blocks
+])
+def test_assemble_line_blocks_are_cpu_count_invariant(
+        reference_profile, monkeypatch, scale, lo, hi, chunk, min_span):
+    data = _member_data(reference_profile,
+                        reference_profile.bucket(ETA, scale).members)
+    assert len(data) > measure._BLOCK_MEMBERS
+    want = _block_fold(data, lo, hi)
+    for name, value in (("_CHUNK", chunk), ("_MIN_SPAN", min_span)):
+        if value is not None:
+            monkeypatch.setattr(measure, name, value)
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        assert np.array_equal(assemble_line(data, BUMP, lo, hi), want), cpus
+
+
+def test_assemble_line_fold_order_survives_a_late_block_zero(
+        reference_profile, monkeypatch):
+    # block 0 adds straight into the line and finishes after every other
+    # block; the later block lines must still go in in block order
+    data = _member_data(reference_profile,
+                        reference_profile.bucket(ETA, 64).members)
+    _cpus(monkeypatch, 1)
+    serial = assemble_line(data, BUMP, 0, 80960)
+    finished, inner = [], measure._assemble_span
+
+    def span(block, *args):
+        if block[0] is data[0]:
+            time.sleep(0.5)
+        inner(block, *args)
+        finished.append(data.index(block[0]) // measure._BLOCK_MEMBERS)
+    monkeypatch.setattr(measure, "_assemble_span", span)
+    _cpus(monkeypatch, 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)         # more thread switches, more races
+    try:
+        got = assemble_line(data, BUMP, 0, 80960)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, serial)
+    assert finished[-1] == 0 and sorted(finished) == [0, 1, 2, 3], finished
+
+
+def test_assemble_line_blocks_share_out_a_probe_line(reference_profile,
+                                                     monkeypatch):
+    # a probe-length line is one span; its member blocks still use both
+    # CPUs
+    data = _member_data(reference_profile,
+                        reference_profile.bucket(ETA, 64).members)
+    threads, inner = set(), measure._line_segment
+
+    def segment(*args):
+        threads.add(threading.get_ident())
+        return inner(*args)
+    monkeypatch.setattr(measure, "_line_segment", segment)
+    _cpus(monkeypatch, 2)
+    assemble_line(data, BUMP, 0, 80960)
+    assert len(threads) >= 2
+
+
+def test_assemble_line_one_block_is_one_serial_pass(reference_profile,
+                                                    monkeypatch):
+    # a bucket of at most _BLOCK_MEMBERS members sums as it always did
+    data = _member_data(reference_profile,
+                        reference_profile.bucket(ETA, 16).members)
+    assert len(data) == 26
+    n = 80961
+    want = np.zeros(n, dtype=complex)
+    measure._assemble_span(data, BUMP, want, 0, n - 1, measure._scratch(
+        np.arange(n, dtype=np.float64), n))
+    want /= len(data)
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        assert np.array_equal(assemble_line(data, BUMP, 0, n - 1), want)
+
+
+def test_assemble_line_blocks_call_no_traced_function(reference_profile,
+                                                      monkeypatch):
+    # the member blocks of a probe line on two threads stay clear of the
+    # functions the benchmark tracer wraps, as the spans do
+    traced = {"ApproximationProfile.bucket", "BumpSpec.fourier",
+              "BumpSpec.value", "residue_set"}
+    called = set()
+
+    def profiler(frame, event, arg):
+        if event == "call" and "dfourier" in frame.f_code.co_filename:
+            called.add(frame.f_code.co_qualname)
+    data = _member_data(reference_profile,
+                        reference_profile.bucket(ETA, 64).members)
+    _cpus(monkeypatch, 2)
+    threading.setprofile(profiler)
+    try:
+        assemble_line(data, BUMP, 0, 80960)
     finally:
         threading.setprofile(None)
     assert {"_assemble_span", "_line_segment"} <= called

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dfourier.arith import coprime_density
 from dfourier.errors import ProfileError
+from dfourier.measure import build_measure
 from dfourier.profile import ApproximationProfile, power_law_profile
 
 
@@ -92,6 +93,37 @@ def test_bucket_memo_matches_fresh_profiles():
     clone = ApproximationProfile.from_descriptor(warm.to_descriptor())
     assert clone == warm and hash(clone) == hash(warm)
     assert _same_bucket(clone.bucket(0.5, 8), warm.bucket(0.5, 8))
+
+
+def test_scale_set_fills_the_bucket_memo(monkeypatch):
+    # scale_set hands its admissible buckets to the memo: the same floats
+    # as fresh bucket() calls, and a build indexes the window once
+    warm = power_law_profile(2.0, 50_000, q_min=2, theta=0.3)
+    fresh = power_law_profile(2.0, 50_000, q_min=2, theta=0.3)
+    for eta in (0.3, 0.5):
+        sset = warm.scale_set(eta, k_max=24)
+        filled = {k: b for k, b in warm._buckets.items() if k[0] == eta}
+        assert set(filled) == {(eta, M) for M in sset.scales()}
+        for e in sset.admissible():
+            got = filled[(eta, e.scale)]
+            assert _same_bucket(got, fresh.bucket(eta, e.scale)), e.scale
+            assert (got.count, got.mass) == (e.count, e.mass)
+            assert not got.members.flags.writeable
+            assert warm.bucket(eta, e.scale) is got
+    for eta, scale in ((1.5, 8), (0.0, 8), (0.3, 6)):
+        with pytest.raises(ProfileError):
+            warm.bucket(eta, scale)
+
+    calls = []
+    index = ApproximationProfile._bucket_index
+
+    def counted(self, eta):
+        calls.append(eta)
+        return index(self, eta)
+    monkeypatch.setattr(ApproximationProfile, "_bucket_index", counted)
+    build_measure(power_law_profile(2.0, 1_000_000, q_min=2, theta=0.3),
+                  eta=0.3, eps=0.05, stages=1)
+    assert calls == [0.3]
 
 
 def test_reference_scale_set(reference_profile):
