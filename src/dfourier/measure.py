@@ -17,12 +17,13 @@ phase e(-j*(theta + p0)/lp); it is read off two short tables whose
 arguments are reduced exactly (theta split in two 26-bit halves, p0*j
 mod lp in integers), one complex product per term, and the kernel
 factor costs one sine per term.  Every term depends on j alone, so a
-line is cut into one contiguous span per available CPU, and the bucket
-into fixed blocks of members whose partial lines are added in block
-order; the (span, block) jobs run on threads (numpy releases the GIL in
-its loops).  Blocks split the hits, so no hit's fixed cost is paid
-twice, which is what makes the short gap-probe lines worth running on
-several CPUs.  The coefficients are the same bits whatever the CPU count.
+line is cut once into contiguous pieces, up to one per available CPU,
+and the bucket into fixed blocks of members whose partial lines are
+added in block order; the (block, piece) jobs run on threads (numpy
+releases the GIL in its loops).  Blocks split the hits, so no hit's
+fixed cost is paid twice, which is what makes the short gap-probe lines
+worth running on several CPUs.  The coefficients are the same bits
+whatever the CPU count.
 
 Scale selection walks the admissible dyadic scales and accepts the first
 candidate whose stability gap (the weighted sup of the perturbation the
@@ -54,17 +55,17 @@ from .series import TruncatedFourierSeries, constant_series, series_multiply
 _ARTIFACT_MAGIC = b"DFMS"
 _ARTIFACT_VERSION = 2
 
-# assemble_line runs one span of a half-line per available CPU, none
-# shorter than _MIN_SPAN frequencies.  On 2 vCPUs, two spans of a window
+# assemble_line cuts a half-line into one piece per available CPU, none
+# shorter than _MIN_SPAN frequencies.  On 2 vCPUs, two pieces of a window
 # below 2**17 frequencies mostly ran slower than one (0.8 to 1.3 times
-# the serial time at M = 4 to 256): each span pays every hit's fixed
+# the serial time at M = 4 to 256): each piece pays every hit's fixed
 # cost (its phase tables, about 90 us) again, and the threads keep
 # trading the GIL between short numpy calls.  From 2**17 on they took
 # 0.5 to 0.8 times.  Such short lines get their threads from member
 # blocks instead.
 _MIN_SPAN = 1 << 16
 # assemble_line sums the members in contiguous blocks of this many, one
-# job per (span, block) pair, and adds each later block's line to the
+# job per (block, piece) pair, and adds each later block's piece to the
 # result in block order.  Blocks split the hits themselves, so no hit's
 # fixed cost is paid twice; a bucket of at most this many members is one
 # block and sums as one serial pass.  On 2 vCPUs the four 80,961-long
@@ -73,10 +74,10 @@ _MIN_SPAN = 1 << 16
 # 64 would leave the 54-member M = 32 line on one CPU.  The coefficients
 # depend on this length, so it is a constant, not an option.
 _BLOCK_MEMBERS = 32
-# each span works through sequential chunks of at most this many
-# frequencies to bound its scratch buffers, 32 bytes per frequency plus
-# an 8-byte ramp that the spans share: one pass over the 22.5M-long M=32
-# half-line would take 0.9 GB of them
+# no piece is longer than this many frequencies, to bound the scratch
+# buffers, 32 bytes per frequency per worker plus an 8-byte ramp that
+# the jobs share: one pass over the 22.5M-long M=32 half-line would take
+# 0.9 GB of them
 _CHUNK = 1 << 20
 
 # phase tables: j = _BLOCK*a + b, so e(-j*phase) = coarse[a] * fine[b]
@@ -116,6 +117,16 @@ def _member_data(profile: ApproximationProfile, members: np.ndarray) -> list[_Me
         data.append(_Member(q=q, rate=float(p) / q, count=n_i, hits=hits,
                             theta=(hi, theta - hi), sigma_divisors=sig))
     return data
+
+
+def _bucket_data(profile: ApproximationProfile, eta: float,
+                 scale: int) -> tuple:
+    """The bucket at one scale and its member tables; raises if it is empty."""
+    bucket = profile.bucket(eta, scale)
+    if bucket.count == 0:
+        raise WindowExhaustedError(
+            f"no denominators in the bucket at scale {scale}")
+    return bucket, _member_data(profile, bucket.members)
 
 
 def _phases(theta: tuple, lp: int, p0: int, j: np.ndarray) -> tuple:
@@ -204,17 +215,9 @@ def _line_segment(data: list[_Member], bump: BumpSpec, out: np.ndarray,
 def _scratch(ramp: np.ndarray, n: int) -> tuple:
     """Buffers (ramp, re, im, tmp, kern) for pieces of up to n frequencies.
 
-    ``ramp`` is 0, 1, 2, ... and only read, so spans share it.
+    ``ramp`` is 0, 1, 2, ... and only read, so jobs share it.
     """
     return (ramp, *(np.empty(n + 2 * _BLOCK) for _ in range(3)), np.empty(n))
-
-
-def _assemble_span(data: list[_Member], bump: BumpSpec, out: np.ndarray,
-                   l_lo: int, l_hi: int, scratch: tuple) -> None:
-    """``_line_segment`` over [l_lo, l_hi] in sequential ``_CHUNK`` pieces."""
-    for a in range(l_lo, l_hi + 1, _CHUNK):
-        b = min(a + _CHUNK - 1, l_hi)
-        _line_segment(data, bump, out[a - l_lo:b - l_lo + 1], a, b, scratch)
 
 
 def _cpu_count() -> int:
@@ -230,68 +233,63 @@ def assemble_line(data: list[_Member], bump: BumpSpec, l_lo: int,
     """Bucket-averaged coefficient line on the contiguous window [l_lo, l_hi].
 
     Every in-window term of every divisor hit is summed.  The window is
-    cut into one contiguous span per available CPU, none shorter than
-    ``_MIN_SPAN``, and the members into contiguous blocks of
-    ``_BLOCK_MEMBERS``.  Each (span, block) pair is one job, run on a
-    thread through sequential ``_CHUNK``-long pieces.  Block 0 adds
-    straight into the line; every later block sums into its own zeroed
-    line, which is added to the result in block order, after every job
-    before it has finished.  A later block starts only while fewer such
-    lines than workers are alive.  Every term depends on j alone, so
-    each coefficient's bits depend on the block length only: not on the
-    CPU count, the order in which jobs finish, or where a span or a
-    chunk ends.
+    cut once into contiguous pieces, one per available CPU but none
+    shorter than ``_MIN_SPAN`` or longer than ``_CHUNK``, and the members
+    into contiguous blocks of ``_BLOCK_MEMBERS``.  Each (block, piece)
+    pair is one job, submitted block by block to one thread per CPU.
+    Block 0 adds straight into the line; every later block sums into its
+    own zeroed piece.  The calling thread folds the jobs in submission
+    order, each later piece added to the line, and folds the oldest one
+    whenever ``2 * workers`` jobs are pending, so no more later pieces
+    than that are alive.  Every term depends on j alone, so each
+    coefficient's bits depend on the block length only: not on the CPU
+    count, the order in which jobs finish, or where a piece ends.
     """
     if l_hi < l_lo:
         raise ValueError("empty frequency window")
+    if not data:
+        raise ValueError("no members to average")
+    from concurrent.futures import ThreadPoolExecutor
     n = l_hi - l_lo + 1
     line = np.zeros(n, dtype=np.complex128)
     cpus = _cpu_count()
     parts = max(1, min(cpus, n // _MIN_SPAN))
-    edges = [n * i // parts for i in range(parts + 1)]
+    step = min(_CHUNK, -(-n // parts))
     blocks = [data[i:i + _BLOCK_MEMBERS]
               for i in range(0, len(data), _BLOCK_MEMBERS)]
-    # block-major: every block 0 comes first, so no block line is added
-    # while a block 0 still writes, and each span's blocks come in order
-    jobs = [(i, a, b) for i in range(len(blocks))
-            for a, b in zip(edges, edges[1:])]
-    workers = max(1, min(cpus, len(jobs)))
-    ramp = np.arange(min(_CHUNK, -(-n // parts)), dtype=np.float64)
-    # the scratch and the block lines are allocated here: worker threads
+    # block-major, so every block 0 job, which writes straight into the
+    # line, is folded before any later piece is added
+    jobs = [(i, a) for i in range(len(blocks)) for a in range(0, n, step)]
+    workers = min(cpus, len(jobs))
+    ramp = np.arange(step, dtype=np.float64)
+    # the scratch and the later pieces are allocated here: worker threads
     # allocating their own take separate malloc arenas, which raised the
     # peak RSS of the M = 4, 8, 16 factors from 146 to 171 MB
-    free = [_scratch(ramp, len(ramp)) for _ in range(workers)]
-    if len(jobs) <= 1:
-        _assemble_span(data, bump, line, l_lo, l_hi, free[0])
-    else:
-        from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-        running = {}        # future: its scratch, until the job is done
-        pending = []        # (future, block, start, out) until folded
+    free = [_scratch(ramp, step) for _ in range(workers)]
 
-        def settle():
-            """Wait for a job, take back the scratch of every finished
-            one, and fold the finished jobs that lead the job order."""
-            for done in wait(running, return_when=FIRST_COMPLETED)[0]:
-                free.append(running.pop(done))
-            while pending and pending[0][0] not in running:
-                done, i, a, out = pending.pop(0)
-                done.result()
-                if i:
-                    line[a:a + len(out)] += out
+    def run(block, out, a, b):
+        scratch = free.pop()            # at most `workers` jobs run at once
+        try:
+            _line_segment(block, bump, out, a, b, scratch)
+        finally:
+            free.append(scratch)
 
-        with ThreadPoolExecutor(workers) as pool:
-            for i, a, b in jobs:
-                while not free or (i and sum(p[1] > 0 for p in pending)
-                                   == workers):
-                    settle()
-                out = line[a:b] if i == 0 else np.zeros(b - a, np.complex128)
-                scratch = free.pop()
-                future = pool.submit(_assemble_span, blocks[i], bump, out,
-                                     l_lo + a, l_lo + b - 1, scratch)
-                running[future] = scratch
-                pending.append((future, i, a, out))
-            while pending:
-                settle()
+    def fold(future, i, a, out):
+        future.result()
+        if i:
+            line[a:a + len(out)] += out
+
+    pending = []
+    with ThreadPoolExecutor(workers) as pool:
+        for i, a in jobs:
+            b = min(a + step, n)
+            out = line[a:b] if i == 0 else np.zeros(b - a, np.complex128)
+            pending.append((pool.submit(run, blocks[i], out, l_lo + a,
+                                        l_lo + b - 1), i, a, out))
+            if len(pending) == 2 * workers:
+                fold(*pending.pop(0))
+        while pending:
+            fold(*pending.pop(0))
     line /= len(data)
     return line
 
@@ -349,8 +347,7 @@ def factor_tail_profiles(stage: MeasureStage) -> list[tuple]:
     rows = []
     for summary in stage.factor_summaries:
         info = dict(summary)
-        data = _member_data(profile,
-                            profile.bucket(eta, int(info["scale"])).members)
+        _, data = _bucket_data(profile, eta, int(info["scale"]))
         rows.append((int(info["half_bandwidth"]), float(info["l1_norm"]),
                      lambda L, d=data: envelope_tail(d, bump, int(L))))
     return rows
@@ -426,11 +423,7 @@ def gm_series(profile: ApproximationProfile, bump: BumpSpec, eta: float,
     ``BandwidthBudgetError`` is raised; with a cap the band is truncated
     there and the (larger) envelope tail is recorded honestly.
     """
-    bucket = profile.bucket(eta, scale)
-    if bucket.count == 0:
-        raise WindowExhaustedError(
-            f"no denominators in the bucket at scale {scale}")
-    data = _member_data(profile, bucket.members)
+    bucket, data = _bucket_data(profile, eta, scale)
     budget_cap = (budget - 1) // 2
     cap = budget_cap if band_cap is None else min(band_cap, budget_cap)
     L, tail, complete = certified_half_bandwidth(data, bump, tail_tol, cap)
@@ -529,11 +522,7 @@ def stability_gap(profile: ApproximationProfile, bump: BumpSpec, eta: float,
     candidate-times-periodic product is formed once and sampled by
     ``window_samples``.  The weight is (1 + |xi|)**(eta - eps).
     """
-    bucket = profile.bucket(eta, scale)
-    if bucket.count == 0:
-        raise WindowExhaustedError(
-            f"no denominators in the bucket at scale {scale}")
-    data = _member_data(profile, bucket.members)
+    _, data = _bucket_data(profile, eta, scale)
     d_h = int(kernel_halfwidth)
     l_g = periodic.half_bandwidth
     xi_top = int(math.ceil(float(xi_grid[-1])))

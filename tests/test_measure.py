@@ -88,6 +88,14 @@ def test_empty_bucket_is_window_exhaustion():
     assert tiny.bucket(ETA, 256).count == 0
     with pytest.raises(WindowExhaustedError, match="scale 256"):
         gm_series(tiny, BUMP, ETA, 256, 1e-8, 1 << 20)
+    with pytest.raises(WindowExhaustedError, match="scale 256"):
+        stability_gap(tiny, BUMP, ETA, EPS, 256, constant_series(),
+                      build_xi_grid(4, 4), 8)
+
+
+def test_assemble_line_rejects_an_empty_member_list():
+    with pytest.raises(ValueError, match="no members"):
+        assemble_line([], BUMP, 0, 3)
 
 
 def test_uncapped_band_overflow_reports_true_need(reference_profile):
@@ -225,7 +233,8 @@ def test_assemble_line_is_cpu_count_invariant(reference_profile, monkeypatch,
         assert all(b + 1 == c for (_, b), (c, _) in zip(cut, cut[1:])), cut
         tilings.add(tuple(cut))
     # every CPU count cut the window its own way, unless it is one term
-    assert len(tilings) == (1 if lo == hi else 3)
+    # or a patched _CHUNK is below every CPU count's share
+    assert len(tilings) == (1 if lo == hi or chunk is not None else 3)
 
 
 def test_assemble_line_spans_call_no_traced_function(reference_profile,
@@ -247,20 +256,25 @@ def test_assemble_line_spans_call_no_traced_function(reference_profile,
         assemble_line(data, BUMP, 0, 160000)
     finally:
         threading.setprofile(None)
-    assert {"_assemble_span", "_line_segment"} <= called
+    assert {"_line_segment"} <= called
     assert not called & traced
 
 
 def _block_fold(data, lo, hi):
     """assemble_line by definition: each member block summed on its own
-    by one serial _assemble_span pass, the block lines added in order."""
+    by serial _line_segment passes over _CHUNK pieces, the block lines
+    added in order."""
     n = hi - lo + 1
-    ramp = np.arange(min(measure._CHUNK, n), dtype=np.float64)
+    step = measure._CHUNK
+    ramp = np.arange(min(step, n), dtype=np.float64)
     line = np.zeros(n, dtype=complex)
     for i in range(0, len(data), measure._BLOCK_MEMBERS):
         part = np.zeros(n, dtype=complex)
-        measure._assemble_span(data[i:i + measure._BLOCK_MEMBERS], BUMP, part,
-                               lo, hi, measure._scratch(ramp, len(ramp)))
+        scratch = measure._scratch(ramp, len(ramp))
+        for a in range(0, n, step):
+            measure._line_segment(data[i:i + measure._BLOCK_MEMBERS], BUMP,
+                                  part[a:a + step], lo + a,
+                                  min(lo + a + step - 1, hi), scratch)
         line = part if i == 0 else line + part
     return line / len(data)
 
@@ -292,14 +306,14 @@ def test_assemble_line_fold_order_survives_a_late_block_zero(
                         reference_profile.bucket(ETA, 64).members)
     _cpus(monkeypatch, 1)
     serial = assemble_line(data, BUMP, 0, 80960)
-    finished, inner = [], measure._assemble_span
+    finished, inner = [], measure._line_segment
 
-    def span(block, *args):
+    def segment(block, *args):
         if block[0] is data[0]:
             time.sleep(0.5)
         inner(block, *args)
         finished.append(data.index(block[0]) // measure._BLOCK_MEMBERS)
-    monkeypatch.setattr(measure, "_assemble_span", span)
+    monkeypatch.setattr(measure, "_line_segment", segment)
     _cpus(monkeypatch, 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)         # more thread switches, more races
@@ -309,6 +323,46 @@ def test_assemble_line_fold_order_survives_a_late_block_zero(
         sys.setswitchinterval(interval)
     assert np.array_equal(got, serial)
     assert finished[-1] == 0 and sorted(finished) == [0, 1, 2, 3], finished
+
+
+def test_assemble_line_bounds_the_pending_jobs(reference_profile,
+                                               monkeypatch):
+    # while block 0 is slow, the calling thread waits to fold it once
+    # 2 * workers jobs are pending, so no further later block starts
+    data = _member_data(reference_profile,
+                        reference_profile.bucket(ETA, 256).members)
+    assert len(data) > 17 * measure._BLOCK_MEMBERS
+    want = _block_fold(data, 0, 80960)
+    events, inner = [], measure._line_segment
+
+    def segment(block, *args):
+        if block[0] is data[0]:
+            time.sleep(0.5)
+            inner(block, *args)
+            events.append("block 0 done")
+        else:
+            events.append("later start")
+            inner(block, *args)
+    monkeypatch.setattr(measure, "_line_segment", segment)
+    _cpus(monkeypatch, 2)
+    got = assemble_line(data, BUMP, 0, 80960)
+    early = events[:events.index("block 0 done")]
+    assert 1 <= len(early) <= 2 * 2 - 1, events
+    assert len(events) == 18
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("cpu_count", [3, None])
+def test_assemble_line_without_affinity_uses_the_cpu_count(
+        reference_profile, monkeypatch, cpu_count):
+    data = _member_data(reference_profile,
+                        reference_profile.bucket(ETA, 64).members)
+    _cpus(monkeypatch, 1)
+    serial = assemble_line(data, BUMP, 0, 80960)
+    monkeypatch.delattr(measure.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(measure.os, "cpu_count", lambda: cpu_count)
+    assert measure._cpu_count() == (cpu_count or 1)
+    assert np.array_equal(assemble_line(data, BUMP, 0, 80960), serial)
 
 
 def test_assemble_line_blocks_share_out_a_probe_line(reference_profile,
@@ -336,7 +390,7 @@ def test_assemble_line_one_block_is_one_serial_pass(reference_profile,
     assert len(data) == 26
     n = 80961
     want = np.zeros(n, dtype=complex)
-    measure._assemble_span(data, BUMP, want, 0, n - 1, measure._scratch(
+    measure._line_segment(data, BUMP, want, 0, n - 1, measure._scratch(
         np.arange(n, dtype=np.float64), n))
     want /= len(data)
     for cpus in (1, 2):
@@ -363,7 +417,7 @@ def test_assemble_line_blocks_call_no_traced_function(reference_profile,
         assemble_line(data, BUMP, 0, 80960)
     finally:
         threading.setprofile(None)
-    assert {"_assemble_span", "_line_segment"} <= called
+    assert {"_line_segment"} <= called
     assert not called & traced
 
 
