@@ -327,31 +327,37 @@ def _factor_comb(profile: ApproximationProfile, eta: float,
                        masks=tuple(rs.mask for rs in sets))
 
 
+def _offset(x, q: int, theta: float):
+    """Nearest integer p to x*q - theta and the offset x*q - theta - p.
+
+    The offset is formed from the exact product x*q = hi + lo (Veltkamp
+    split of x; q < 2**26 needs no split), so near p it carries one
+    rounding of its own size instead of the rounding of x*q, which near
+    q ~ 1000 is ~1e-13 against spike radii ~1e-6.
+    """
+    big = 134217729.0 * x               # 2**27 + 1
+    x_hi = big - (big - x)
+    hi = x * q
+    lo = (x_hi * q - hi) + (x - x_hi) * q
+    pr = np.rint(hi - theta)
+    return pr, ((hi - pr) - theta) + lo
+
+
 def _comb_value(comb: _FactorComb, bump: BumpSpec, x: np.ndarray) -> np.ndarray:
     """Exact factor density at the points x (vectorized).
 
     Bumps have radius shrink * psi(q) / q < 1/(2q), so the nearest
-    integer p to x*q - theta is the only candidate residue.  The offset
-    d = x*q - theta - p is formed from the exact product x*q = hi + lo
-    (Veltkamp split of x; q < 2**26 needs no split), so inside a spike it
-    carries one rounding of its own size instead of the rounding of x*q,
-    which near q ~ 1000 is ~1e-13 against spike radii ~1e-6.
+    integer p to x*q - theta is the only candidate residue; its offset
+    comes from ``_offset``.
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
-    big = 134217729.0 * x               # 2**27 + 1
-    x_hi = big - (big - x)
-    x_lo = x - x_hi
     for i in range(len(comb.qs)):
         q = int(comb.qs[i])
         psi = float(comb.psi[i])
         if psi <= 0.0:
             continue
-        theta = float(comb.theta[i])
-        hi = x * q
-        lo = (x_hi * q - hi) + x_lo * q
-        pr = np.rint(hi - theta)
-        d = ((hi - pr) - theta) + lo
+        pr, d = _offset(x, q, float(comb.theta[i]))
         active = comb.masks[i][pr.astype(np.int64) % q]
         active &= np.abs(d) < bump.shrink * psi
         if active.any():
@@ -367,12 +373,11 @@ def _comb_witness(comb: _FactorComb, x: float) -> dict | None:
         psi = float(comb.psi[i])
         if psi <= 0.0:
             continue
-        y = x * q - float(comb.theta[i])
-        pr = round(y)
-        p = pr % q
-        if comb.masks[i][p] and abs(y - pr) < psi:
-            return {"scale": comb.scale, "q": q, "p": int(p),
-                    "distance": abs(y - pr) / q, "radius": psi / q}
+        pr, d = _offset(x, q, float(comb.theta[i]))
+        p = int(pr) % q
+        if comb.masks[i][p] and abs(d) < psi:
+            return {"scale": comb.scale, "q": q, "p": p,
+                    "distance": float(abs(d)) / q, "radius": psi / q}
     return None
 
 

@@ -32,16 +32,15 @@ class BandwidthBudgetError(RuntimeError):
 class WindowExhaustedError(RuntimeError):
     """No admissible scale remains inside the profile window.
 
-    ``tried`` holds the per-candidate probe log of the failing selection;
-    the build driver attaches the artifact of the completed stages as
-    ``partial`` before letting the error propagate.
+    The build driver attaches the artifact of the completed stages as
+    ``partial`` before letting the error propagate; its gap log holds the
+    failing selection's probes.
     """
 
     def __init__(self, message: str, last_scale: int | None = None,
-                 last_gap: float | None = None, tried: list | None = None) -> None:
+                 last_gap: float | None = None) -> None:
         self.last_scale = last_scale
         self.last_gap = last_gap
-        self.tried = tried or []
         self.partial = None
         if last_scale is not None:
             message += f" (largest scale tried: {last_scale}"

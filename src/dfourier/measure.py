@@ -353,24 +353,21 @@ def factor_tail_profiles(stage: MeasureStage) -> list[tuple]:
     return rows
 
 
-def certified_half_bandwidth(data: list[_Member], bump: BumpSpec,
-                             tail_tol: float, cap: int) -> tuple[int, float, bool]:
-    """Smallest half-bandwidth whose envelope tail is below ``tail_tol``.
+def certified_half_bandwidth(tail, tail_tol: float) -> int:
+    """Smallest half-bandwidth L in [0, 2**40] with ``tail(L) <= tail_tol``.
 
-    Returns (L, tail_at_L, complete); ``complete`` is False when even the
-    cap does not reach the tolerance, in which case L is the cap.
+    ``tail`` is a ``_tail_function``.  It does not increase with L, so
+    one binary search finds that L whatever the caller's budget.  A tail
+    that is still above the tolerance at 2**40 gives 2**40.
     """
-    tail = _tail_function(data, bump)
-    if tail(cap) > tail_tol:
-        return cap, tail(cap), False
-    lo, hi = 0, cap
+    lo, hi = 0, 1 << 40
     while lo < hi:
         mid = (lo + hi) // 2
         if tail(mid) <= tail_tol:
             hi = mid
         else:
             lo = mid + 1
-    return lo, tail(lo), True
+    return lo
 
 
 # ----------------------------------------------------------------------
@@ -418,25 +415,28 @@ def gm_series(profile: ApproximationProfile, bump: BumpSpec, eta: float,
               band_cap: int | None = None) -> GmFactor:
     """Assemble the factor at one dyadic scale on a certified band.
 
-    Raises ``WindowExhaustedError`` for an empty bucket.  Without a
-    ``band_cap`` the band must reach ``tail_tol`` inside the budget or
-    ``BandwidthBudgetError`` is raised; with a cap the band is truncated
-    there and the (larger) envelope tail is recorded honestly.
+    Raises ``WindowExhaustedError`` for an empty bucket.  One band search
+    sizes the band.  Without a ``band_cap``, a band past the budget raises
+    ``BandwidthBudgetError`` quoting the whole certified band; with one,
+    the band is cut at the cap and its (larger) envelope tail is recorded
+    honestly.
     """
     bucket, data = _bucket_data(profile, eta, scale)
     budget_cap = (budget - 1) // 2
     cap = budget_cap if band_cap is None else min(band_cap, budget_cap)
-    L, tail, complete = certified_half_bandwidth(data, bump, tail_tol, cap)
+    tail = _tail_function(data, bump)
+    L = certified_half_bandwidth(tail, tail_tol)
+    complete = L <= cap
     if not complete and band_cap is None:
-        need, _, _ = certified_half_bandwidth(data, bump, tail_tol, 1 << 40)
-        raise BandwidthBudgetError(2 * need + 1, budget,
+        raise BandwidthBudgetError(2 * L + 1, budget,
                                    f"factor at scale {scale}")
+    L = min(L, cap)
     half = assemble_line(data, bump, 0, L)
     coeffs = _mirror_half_line(half)
     # the center coefficient is exactly 1 per member (S(q,0) = #I_q), so
     # write the exact mean rather than the per-divisor rounded sum
     coeffs[L] = 1.0
-    series = TruncatedFourierSeries(coeffs, tail_bound=tail)
+    series = TruncatedFourierSeries(coeffs, tail_bound=tail(L))
     return GmFactor(scale=scale, k=bucket.k, count=bucket.count,
                     mass=bucket.mass, series=series, complete=complete)
 
@@ -544,7 +544,7 @@ def stability_gap(profile: ApproximationProfile, bump: BumpSpec, eta: float,
     # grid point after the periodic band is accounted for, and the kernel
     # lines themselves are cut at d_h
     w_max = float(weights.max())
-    cur_l1 = periodic.l1_norm() + periodic.tail_bound
+    cur_l1 = periodic.sup_bound()
     linf = float(np.mean([divisor_sum(m.q) / m.count for m in data]))
     rem = (2.0 * linf * cur_l1 * bump.window_tail_sum(d_h - 1)
            + cand_l1 * cur_l1 * float(bump.window_envelope(d_h))) * w_max
@@ -556,32 +556,32 @@ def select_next_scale(profile: ApproximationProfile, bump: BumpSpec, eta: float,
                       eps: float, scale_entries, prev_scale: int,
                       threshold: float | None,
                       periodic: TruncatedFourierSeries, xi_grid: np.ndarray,
-                      kernel_halfwidth: int) -> tuple[GapResult, list]:
+                      kernel_halfwidth: int, gap_log: list) -> GapResult:
     """First admissible scale past 2*prev_scale whose gap clears the threshold.
 
     ``threshold`` is None on the opening stage, where the first candidate
     is accepted unconditionally and its gap calibrates the later stages.
-    Exhausting the admissible list raises ``WindowExhaustedError`` with
-    the largest scale tried and its gap.
+    The stage's probe rows go to ``gap_log`` before the first probe, so
+    the log holds them however the selection ends.  Exhausting the
+    admissible list raises ``WindowExhaustedError`` with the largest
+    scale tried and its gap.
     """
     tried: list[dict] = []
-    last: GapResult | None = None
+    gap_log.append(tried)
     for entry in scale_entries:
         if entry.scale <= 2 * prev_scale:
             continue
         gap = stability_gap(profile, bump, eta, eps, entry.scale, periodic,
                             xi_grid, kernel_halfwidth)
-        tried.append({"scale": entry.scale, "gap": gap.value,
-                      "xi_argmax": gap.xi_argmax,
+        tried.append({"threshold": threshold, "scale": entry.scale,
+                      "gap": gap.value, "xi_argmax": gap.xi_argmax,
                       "remainder_bound": gap.remainder_bound})
-        last = gap
         if threshold is None or gap.value <= threshold:
-            return gap, tried
+            return gap
     raise WindowExhaustedError(
         "no admissible scale satisfies the stability threshold",
-        last_scale=None if last is None else last.scale,
-        last_gap=None if last is None else last.value,
-        tried=tried)
+        last_scale=tried[-1]["scale"] if tried else None,
+        last_gap=tried[-1]["gap"] if tried else None)
 
 
 # ----------------------------------------------------------------------
@@ -782,7 +782,7 @@ def _product_sup_bound(parts: list[TruncatedFourierSeries]) -> float:
     """
     if not parts:
         return 1.0
-    l1 = [p.l1_norm() + p.tail_bound for p in parts]
+    l1 = [p.sup_bound() for p in parts]
     best = math.prod(l1)
     if len(parts) >= 2:
         l2 = [p.l2_norm() + p.tail_bound for p in parts]
@@ -825,7 +825,7 @@ def _finalize(profile: ApproximationProfile, eta: float, eps: float,
         stages=len(factors), requested_stages=requested,
         config=cfg, s_value=s_res.value, s_mode=s_res.mode,
         scales=tuple(f.scale for f in factors), c_stab=c_stab,
-        gap_log=tuple(gap_log),
+        gap_log=tuple(tuple(stage) for stage in gap_log),
         factor_summaries=tuple(tuple(sorted(f.summary().items()))
                                for f in factors),
         gfactors=gf.slice_to(min(_export_band(cfg, h0), gf.half_bandwidth)),
@@ -845,9 +845,10 @@ def build_measure(profile: ApproximationProfile, eta: float | None = None,
     analysis window actually consumes, with the dropped mass reaching the
     window only through the kernel envelope across the guard margin.
 
-    On a budget overflow or an exhausted scale window the error escapes
-    with the artifact of the completed stages attached as ``partial``,
-    its gap log still carrying the failing stage's probe record.
+    A build stops in one place: a budget overflow or an exhausted scale
+    window, at any stage, escapes with the artifact of the completed
+    stages attached as ``partial``, its gap log still carrying the
+    failing stage's probe record.
     """
     cfg = config or BuildConfig()
     bump = cfg.bump
@@ -873,55 +874,39 @@ def build_measure(profile: ApproximationProfile, eta: float | None = None,
     prod_budget = cfg.bandwidth_budget - 2 * h0.half_bandwidth
 
     factors: list[GmFactor] = []
-    gap_log: list[tuple] = []
+    gap_log: list[list] = []
     c_stab = 0.0
-    prev_scale = 0
     gprod = constant_series()
 
-    for stage in range(1, stages + 1):
-        threshold = None if stage == 1 else c_stab * 2.0 ** (-stage)
-        try:
-            gap, tried = select_next_scale(
-                profile, bump, eta, eps, entries, prev_scale, threshold,
-                gprod, xi_grid, cfg.kernel_halfwidth)
-        except WindowExhaustedError as exc:
-            gap_log.append(tuple({"threshold": threshold, **t}
-                                 for t in exc.tried))
-            exc.partial = _finalize(profile, eta, eps, stages, cfg, s_res,
-                                    factors, gap_log, gprod, h0, c_stab)
-            raise
-        if stage == 1:
-            c_stab = 2.0 * gap.value
-        chosen = gap.scale
-        final = stage == stages
-        gap_log.append(tuple({"threshold": threshold, **t} for t in tried))
-
-        try:
+    try:
+        for stage in range(1, stages + 1):
+            threshold = None if stage == 1 else c_stab * 2.0 ** (-stage)
+            gap = select_next_scale(
+                profile, bump, eta, eps, entries,
+                factors[-1].scale if factors else 0, threshold, gprod,
+                xi_grid, cfg.kernel_halfwidth, gap_log)
+            if stage == 1:
+                c_stab = 2.0 * gap.value
             band_cap = None
-            if final:
+            if stage == stages:
                 # the analyzer consumes |xi| <= xi_max; anything the final
                 # factor would add beyond the core band reaches that window
                 # only through the kernel envelope across the guard margin
-                band_cap = (cfg.xi_max + gprod.half_bandwidth
-                            + h0.half_bandwidth + 2 * cfg.kernel_halfwidth
+                reach = gprod.half_bandwidth + h0.half_bandwidth
+                band_cap = (reach + cfg.xi_max + 2 * cfg.kernel_halfwidth
                             + cfg.band_margin)
-                room = ((cfg.bandwidth_budget - 1) // 2
-                        - gprod.half_bandwidth - h0.half_bandwidth)
-                if room < band_cap:
-                    need = 2 * (gprod.half_bandwidth + h0.half_bandwidth
-                                + band_cap) + 1
-                    raise BandwidthBudgetError(need, cfg.bandwidth_budget,
+                if (cfg.bandwidth_budget - 1) // 2 < reach + band_cap:
+                    raise BandwidthBudgetError(2 * (reach + band_cap) + 1,
+                                               cfg.bandwidth_budget,
                                                "final stage product")
-            factor = gm_series(profile, bump, eta, chosen, cfg.tail_tol,
+            factor = gm_series(profile, bump, eta, gap.scale, cfg.tail_tol,
                                cfg.bandwidth_budget, band_cap=band_cap)
             gprod = series_multiply(gprod, factor.series, prod_budget,
                                     where=f"stage {stage} product").symmetrized()
-        except BandwidthBudgetError as exc:
-            exc.partial = _finalize(profile, eta, eps, stages, cfg, s_res,
-                                    factors, gap_log, gprod, h0, c_stab)
-            raise
-        factors.append(factor)
-        prev_scale = chosen
-
+            factors.append(factor)
+    except (BandwidthBudgetError, WindowExhaustedError) as exc:
+        exc.partial = _finalize(profile, eta, eps, stages, cfg, s_res,
+                                factors, gap_log, gprod, h0, c_stab)
+        raise
     return _finalize(profile, eta, eps, stages, cfg, s_res, factors,
                      gap_log, gprod, h0, c_stab)

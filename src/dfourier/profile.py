@@ -396,7 +396,7 @@ class ApproximationProfile:
     # -- dyadic buckets ----------------------------------------------------
 
     def _bucket_index(self, eta: float):
-        """(members with positive radius, u values, bucket index per member)."""
+        """(members with positive radius, bucket index per member)."""
         if not 0.0 < eta < 1.0:
             raise ProfileError("weight exponent eta must lie in (0, 1)")
         qs = self.members()
@@ -407,7 +407,7 @@ class ApproximationProfile:
         r = np.round(u)
         snap = np.abs(u - r) <= _SNAP_RTOL * np.maximum(1.0, np.abs(u))
         k = np.where(snap, r, np.ceil(u)).astype(np.int64) - 1
-        return qs, u, k
+        return qs, k
 
     def bucket(self, eta: float, scale: int) -> "Bucket":
         """Members q with (psi(q)/q)**eta in [1/(2M), 1/M), M = ``scale``.
@@ -424,7 +424,7 @@ class ApproximationProfile:
             raise ProfileError("weight exponent eta must lie in (0, 1)")
         found = self._buckets.get((eta, scale))
         if found is None:
-            qs, _, idx = self._bucket_index(eta)
+            qs, idx = self._bucket_index(eta)
             found = self._new_bucket(eta, k, qs[idx == k])
             self._buckets[(eta, scale)] = found
         return found
@@ -460,7 +460,7 @@ class ApproximationProfile:
         admissible ones go to the ``bucket`` memo (the whole window's
         arrays are not kept), so a build indexes the window once.
         """
-        qs, _, idx = self._bucket_index(eta)
+        qs, idx = self._bucket_index(eta)
         top = int(idx.max(initial=0))
         if k_max is not None:
             top = max(top, int(k_max))

@@ -248,14 +248,17 @@ def test_direct_normalization_agrees(st0, st1, st2, dd1):
 
 
 def test_witnesses_at_a_support_point(st1, dd1):
-    out = support_witnesses(st1, (1 + 0.3) / 5, evaluator=dd1)
+    x = (1 + 0.3) / 5
+    out = support_witnesses(st1, x, evaluator=dd1)
     assert out["verdict"] == "witnessed"
     assert out["density"] == pytest.approx(0.8458892132891049, rel=1e-12)
     (w,) = out["witnesses"]
     assert w["scale"] == 4
     assert w["q"] == 5
     assert w["p"] == 1
-    assert w["distance"] == 0.0
+    # the exact offset of the float x from (1 + theta)/5, not the
+    # rounding of x*q
+    assert w["distance"] == float(abs(Fraction(x) * 5 - Fraction(0.3) - 1) / 5)
     assert w["radius"] == pytest.approx(0.008, rel=1e-12)
 
 

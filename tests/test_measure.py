@@ -116,6 +116,19 @@ def test_capped_band_keeps_honest_tail(reference_profile):
     assert fac.series.coeff(0) == 1.0 + 0.0j
 
 
+def test_band_search_is_the_least_certified_band(reference_profile):
+    """The one band search returns the least L with tail(L) <= tol, and a
+    capped factor records the tail at its cap."""
+    data = _member_data(reference_profile,
+                        reference_profile.bucket(ETA, 4).members)
+    tail = measure._tail_function(data, BUMP)
+    assert measure.certified_half_bandwidth(tail, 1e-8) == 15360
+    assert tail(15359) > 1e-8 >= tail(15360)
+    fac = gm_series(reference_profile, BUMP, ETA, 4, 1e-8, 1 << 20,
+                    band_cap=2000)
+    assert fac.series.tail_bound == tail(2000)
+
+
 def test_assemble_line_matches_bruteforce_sum(reference_profile, monkeypatch):
     # the M=4 bucket average of (1/#I_q) sum over p in I_q of
     # e(-l(p + theta)/q) * fhat(l psi/q), phases reduced exactly; every
@@ -520,6 +533,22 @@ def test_probe_log_records_the_selection_path(st2):
     thr = second[0]["threshold"]
     assert all(p["gap"] > thr for p in second[:-1])
     assert second[-1]["gap"] <= thr
+
+
+def test_final_stage_budget_exit_keeps_the_probe_log(reference_profile):
+    """A budget too small for the final factor's core band stops the build
+    before that factor, with the stage's probes in the partial log."""
+    with pytest.raises(BandwidthBudgetError,
+                       match="final stage product") as err:
+        build_measure(reference_profile, eta=ETA, eps=EPS, stages=1,
+                      config=BuildConfig(bandwidth_budget=1 << 17))
+    assert err.value.requested == 132581
+    partial = err.value.partial
+    assert partial.stages == 0
+    assert len(partial.gap_log) == 1
+    (probe,) = partial.gap_log[0]
+    assert probe["scale"] == 4
+    assert probe["threshold"] is None
 
 
 def test_calibration_constant(st1, st2):
