@@ -135,25 +135,6 @@ class BumpSpec:
         w = self.box_halfwidth
         return np.sinc(2.0 * w * np.asarray(xi, dtype=float)) ** self.order
 
-    def fourier_steps(self, step: float, j: np.ndarray,
-                      out: np.ndarray) -> np.ndarray:
-        """``fourier(step * j)`` for j >= 0 into ``out``; overwrites ``j``.
-
-        The form the factor kernel runs on long vectors: sinc(2*w*step*j)
-        is one sine per point divided by its argument, and the m-th power
-        comes from repeated squaring, all in the caller's two buffers.
-        Agrees with ``fourier`` to a few ulps.
-        """
-        x = np.multiply(j, TWO_PI * self.box_halfwidth * step, out=j)
-        np.maximum(x, 1e-300, out=x)        # sin(x)/x is exactly 1 there
-        np.divide(np.sin(x, out=out), x, out=x)
-        np.copyto(out, x)
-        for bit in bin(self.order)[3:]:     # the bits after the leading one
-            np.multiply(out, out, out=out)
-            if bit == "1":
-                np.multiply(out, x, out=out)
-        return out
-
     def envelope(self, xi):
         """Pointwise majorant min(1, (2*pi*w*|xi|)**-m) of |fourier|."""
         m = self.order

@@ -15,15 +15,18 @@ the cost proportional to the number of nonzero hits rather than to the
 band width times the bucket size.  Along one hit, l = g*j carries the
 phase e(-j*(theta + p0)/lp); it is read off two short tables whose
 arguments are reduced exactly (theta split in two 26-bit halves, p0*j
-mod lp in integers), one complex product per term, and the kernel
-factor costs one sine per term.  Every term depends on j alone, so a
-line is cut once into contiguous pieces, up to one per available CPU,
-and the bucket into fixed blocks of members whose partial lines are
-added in block order; the (block, piece) jobs run on threads (numpy
-releases the GIL in its loops).  Blocks split the hits, so no hit's
-fixed cost is paid twice, which is what makes the short gap-probe lines
-worth running on several CPUs.  The coefficients are the same bits
-whatever the CPU count.
+mod lp in integers), one complex product per term.  The kernel's sine
+comes off the same split, sin(x_a + x_b) from the cosines and sines of
+the two table angles, so a term calls no trigonometric function, and
+each hit walks its terms in runs of table rows whose buffers stay in
+the L2 cache.  Every term depends on j alone, so a line is cut once
+into contiguous pieces, up to one per available CPU, and the bucket
+into fixed blocks of members whose partial lines are added in block
+order; the (block, piece) jobs run on threads (numpy releases the GIL
+in its loops).  Blocks split the hits, so no hit's fixed cost is paid
+twice, which is what makes the short gap-probe lines worth running on
+several CPUs.  The coefficients are the same bits whatever the CPU
+count or the run length.
 
 Scale selection walks the admissible dyadic scales and accepts the first
 candidate whose stability gap (the weighted sup of the perturbation the
@@ -59,7 +62,7 @@ _ARTIFACT_VERSION = 2
 # shorter than _MIN_SPAN frequencies.  On 2 vCPUs, two pieces of a window
 # below 2**17 frequencies mostly ran slower than one (0.8 to 1.3 times
 # the serial time at M = 4 to 256): each piece pays every hit's fixed
-# cost (its phase tables, about 90 us) again, and the threads keep
+# cost (its tables, about 90 us) again, and the threads keep
 # trading the GIL between short numpy calls.  From 2**17 on they took
 # 0.5 to 0.8 times.  Such short lines get their threads from member
 # blocks instead.
@@ -74,15 +77,22 @@ _MIN_SPAN = 1 << 16
 # 64 would leave the 54-member M = 32 line on one CPU.  The coefficients
 # depend on this length, so it is a constant, not an option.
 _BLOCK_MEMBERS = 32
-# no piece is longer than this many frequencies, to bound the scratch
-# buffers, 32 bytes per frequency per worker plus an 8-byte ramp that
-# the jobs share: one pass over the 22.5M-long M=32 half-line would take
-# 0.9 GB of them
+# no piece is longer than this many frequencies, to bound the zeroed
+# pieces that the later member blocks sum into, 16 bytes per frequency
+# and at most 2 * workers of them alive
 _CHUNK = 1 << 20
 
-# phase tables: j = _BLOCK*a + b, so e(-j*phase) = coarse[a] * fine[b]
+# phase and kernel tables: j = _BLOCK*a + b, so e(-j*phase) is
+# coarse[a] * fine[b], and the kernel's sine comes from the same split
 _BLOCK = 1024
-# below this, theta_hi*j and theta_lo*j are exact products
+_FINE = np.arange(_BLOCK, dtype=np.float64)
+# a hit walks its terms in runs of this many table rows, so the per-term
+# passes of a run work on four buffers of 256 kB each, which stay in a
+# 2 MB L2 cache.  On 2 vCPUs the 1,844,385-long M = 16 line took a median
+# 1.12, 0.75, 0.67, 0.66 and 0.67 s at 8, 16, 32, 64 and 128 rows, and
+# 1.15 s with piece-long buffers.  The coefficients do not depend on it.
+_RUN_ROWS = 32
+# below this, theta_hi*j is an exact product and |theta_lo*j| < 1/2
 _J_LIMIT = 1 << 26
 
 
@@ -129,68 +139,65 @@ def _bucket_data(profile: ApproximationProfile, eta: float,
     return bucket, _member_data(profile, bucket.members)
 
 
-def _phases(theta: tuple, lp: int, p0: int, j: np.ndarray) -> tuple:
-    """Real and imaginary parts of e(-j*(theta + p0)/lp) at int64 j < 2**26.
+def _tables(theta: tuple, lp: int, p0: int, step: float, a0: int, a1: int,
+            f_lo: int, f_hi: int) -> tuple:
+    """Angles, cosines and sines of one hit's coarse rows and fine columns.
 
-    The argument is reduced exactly: theta_hi*j and theta_lo*j are exact
-    products, their remainders mod lp are exact, and so is p0*j mod lp in
-    integers; only the sum and the division by lp round.
+    The entries run over j = _BLOCK*a, a in [a0, a1], then j in
+    [f_lo, f_hi), twice: first the phase angles of e(-j*(theta + p0)/lp),
+    then the kernel angles j*step.  The phase arguments are reduced
+    exactly: theta_hi*j is an exact product for j < 2**26 and its
+    remainder mod lp is exact, p0*j mod lp is taken in integers, and
+    |theta_lo*j| < 1/2 needs no reduction; only the sum and the division
+    by lp round.  The kernel angle at j = 0 is 1e-300, so that sin(x)/x
+    is exactly 1 there.  One ``np.cos`` and one ``np.sin`` serve all four
+    tables.
     """
-    jf = j.astype(np.float64)
-    t = np.fmod(theta[0] * jf, lp)
+    jf = np.concatenate((np.arange(a0 * _BLOCK, (a1 + 1) * _BLOCK, _BLOCK,
+                                   dtype=np.float64), _FINE[f_lo:f_hi]))
+    m = len(jf)
+    ang = np.empty(2 * m)
+    t, x = ang[:m], ang[m:]
+    np.fmod(np.multiply(theta[0], jf, out=t), lp, out=t)
     if p0:
-        t += (p0 * j) % lp
-    t += np.fmod(theta[1] * jf, lp)
+        t += (p0 * jf.astype(np.int64)) % lp
+    t += np.multiply(theta[1], jf, out=x)
     t /= lp
     t -= np.round(t)
     t *= -TWO_PI
-    return np.cos(t), np.sin(t)
-
-
-def _phase_run(theta: tuple, lp: int, p0: int, coef: float, j0: int, n: int,
-               re: np.ndarray, im: np.ndarray, tmp: np.ndarray) -> int:
-    """coef * e(-j*(theta + p0)/lp) for j in [j0, j0 + n) into re and im.
-
-    The values are coarse[a] * fine[b] at j = _BLOCK*a + b, with the two
-    short tables taken on the absolute j and the complex product spelled
-    out in real operations, each rounded once whatever loop numpy picks;
-    so every value depends on j alone.  Returns the offset of j0 in the
-    buffers.
-    """
-    a0, a1 = j0 // _BLOCK, (j0 + n - 1) // _BLOCK
-    b0 = j0 - a0 * _BLOCK
-    # one block needs only its own fine entries
-    f_lo, f_hi = (b0, b0 + n) if a0 == a1 else (0, _BLOCK)
-    na = a1 - a0 + 1
-    p_re, p_im = _phases(theta, lp, p0, np.concatenate(
-        (_BLOCK * np.arange(a0, a1 + 1), np.arange(f_lo, f_hi))))
-    c_re, c_im = coef * p_re[:na, None], coef * p_im[:na, None]
-    f_re, f_im = p_re[na:], p_im[na:]
-    shape = (na, f_hi - f_lo)
-    t_re, t_im, t_tmp = (buf[:shape[0] * shape[1]].reshape(shape)
-                         for buf in (re, im, tmp))
-    np.multiply(c_re, f_re, out=t_re)
-    np.subtract(t_re, np.multiply(c_im, f_im, out=t_tmp), out=t_re)
-    np.multiply(c_re, f_im, out=t_im)
-    np.add(t_im, np.multiply(c_im, f_re, out=t_tmp), out=t_im)
-    return b0 - f_lo
+    np.multiply(jf, step, out=x)
+    if f_lo == 0:
+        x[a1 - a0 + 1] = 1e-300         # the column b = 0
+    return ang, np.cos(ang), np.sin(ang)
 
 
 def _line_segment(data: list[_Member], bump: BumpSpec, out: np.ndarray,
                   l_lo: int, l_hi: int, scratch: tuple) -> None:
     """Add the unnormalized coefficient sum over members for l in [l_lo, l_hi].
 
-    ``out`` holds the window's coefficients and ``scratch`` is
-    ``_scratch`` for at least its length.  Per hit, the terms j of
-    l = g*j take their phase from ``_phase_run`` and their kernel factor
-    from one sine per term; each term depends on j alone, not on the
-    window.  Runs on worker threads, so it calls nothing that the
-    benchmark's tracer wraps (``ApproximationProfile.bucket``,
-    ``BumpSpec.fourier``, ``BumpSpec.value``, ``residue_set``): its span
-    stack is not thread-local.
+    ``out`` holds the window's coefficients and ``scratch`` is one
+    ``_scratch``.  Per hit, the term at l = g*j, j = _BLOCK*a + b, is
+    coef * e(-j*(theta + p0)/lp) * fhat(l*rate), both factors read off
+    the hit's ``_tables``: the phase is coarse[a] * fine[b], and the
+    kernel sinc(x)**m, x = x_a + x_b, takes sin(x) as
+    sin(x_a)*cos(x_b) + cos(x_a)*sin(x_b), with the power by repeated
+    squaring.  Every product is spelled out in real operations, each
+    rounded once whatever loop numpy picks, so each term depends on j
+    alone, not on the window or the run length.  The hit's terms are
+    walked in runs of ``_RUN_ROWS`` table rows: the row-by-column
+    products fill a run's rectangle, and every other pass works on the
+    run's terms inside the window, in buffers that stay in the L2 cache.
+    Runs on worker threads, so it calls nothing that the benchmark's
+    tracer wraps (``ApproximationProfile.bucket``, ``BumpSpec.fourier``,
+    ``BumpSpec.value``, ``residue_set``): its span stack is not
+    thread-local.
     """
     out_f = out.view(np.float64)
-    ramp, re, im, tmp, kern = scratch
+    # a run is whole rows of _BLOCK columns or part of one row, so its
+    # rectangle and the flat buffer put every term in the same place
+    flat = [buf.reshape(-1) for buf in scratch]
+    width = TWO_PI * bump.box_halfwidth
+    bits = bin(bump.order)[3:]          # the bits after the leading one
     for mem in data:
         for g, coef, lp, p0 in mem.hits:
             j0 = -((-l_lo) // g)        # ceil(l_lo / g)
@@ -202,22 +209,53 @@ def _line_segment(data: list[_Member], bump: BumpSpec, out: np.ndarray,
                                  f"phase tables (j < 2**26 at stride {g}, "
                                  f"p0*j < 2**63)")
             n = j1 - j0 + 1
-            k = _phase_run(mem.theta, lp, p0, coef, j0, n, re, im, tmp)
-            w = bump.fourier_steps(mem.rate * g,
-                                   np.add(ramp[:n], j0, out=tmp[:n]),
-                                   kern[:n])
-            start = 2 * (g * j0 - l_lo)
-            for part, pos in ((re, start), (im, start + 1)):
-                vals = np.multiply(part[k:k + n], w, out=part[k:k + n])
-                out_f[pos::2 * g][:n] += vals
+            a0, a1 = j0 // _BLOCK, j1 // _BLOCK
+            b0 = j0 - a0 * _BLOCK
+            # one block needs only its own fine entries
+            f_lo, f_hi = (b0, b0 + n) if a0 == a1 else (0, _BLOCK)
+            na, fw = a1 - a0 + 1, f_hi - f_lo
+            ang, cos, sin = _tables(mem.theta, lp, p0, width * (mem.rate * g),
+                                    a0, a1, f_lo, f_hi)
+            m = na + fw                 # the kernel entries start here
+            c_re, c_im = coef * cos[:na], coef * sin[:na]
+            f_re, f_im = cos[na:m], sin[na:m]
+            c_b, s_b, x_b = cos[m + na:], sin[m + na:], ang[m + na:]
+            first = b0 - f_lo           # j0's place in the flat table
+            for r in range(0, na, _RUN_ROWS):
+                r1 = min(r + _RUN_ROWS, na)
+                kern, tmp, re, im = (buf[:r1 - r, :fw] for buf in scratch)
+                # the run's terms inside the window, flat
+                lo, hi = max(first, r * fw), min(first + n, r1 * fw)
+                kv, tv, rv, iv = (buf[lo - r * fw:hi - r * fw]
+                                  for buf in flat)
+                np.multiply(sin[m + r:m + r1, None], c_b, out=kern)
+                np.multiply(cos[m + r:m + r1, None], s_b, out=tmp)
+                np.add(kv, tv, out=kv)
+                np.add(ang[m + r:m + r1, None], x_b, out=tmp)
+                acc = np.divide(kv, tv, out=tv)
+                for bit in bits:
+                    acc = np.multiply(acc, acc, out=kv)
+                    if bit == "1":
+                        np.multiply(kv, tv, out=kv)
+                np.multiply(c_re[r:r1, None], f_re, out=re)
+                np.multiply(c_im[r:r1, None], f_im, out=tmp)
+                np.subtract(rv, tv, out=rv)
+                np.multiply(c_re[r:r1, None], f_im, out=im)
+                np.multiply(c_im[r:r1, None], f_re, out=tmp)
+                np.add(iv, tv, out=iv)
+                start = 2 * (g * (j0 + lo - first) - l_lo)
+                for vals, pos in ((rv, start), (iv, start + 1)):
+                    out_f[pos::2 * g][:hi - lo] += np.multiply(vals, kv,
+                                                               out=vals)
 
 
-def _scratch(ramp: np.ndarray, n: int) -> tuple:
-    """Buffers (ramp, re, im, tmp, kern) for pieces of up to n frequencies.
+def _scratch() -> tuple:
+    """One worker's buffers (kern, tmp, re, im) for one run of a hit.
 
-    ``ramp`` is 0, 1, 2, ... and only read, so jobs share it.
+    Each holds ``_RUN_ROWS`` table rows of ``_BLOCK`` floats, whatever
+    the length of the piece.
     """
-    return (ramp, *(np.empty(n + 2 * _BLOCK) for _ in range(3)), np.empty(n))
+    return tuple(np.empty((_RUN_ROWS, _BLOCK)) for _ in range(4))
 
 
 def _cpu_count() -> int:
@@ -243,7 +281,8 @@ def assemble_line(data: list[_Member], bump: BumpSpec, l_lo: int,
     whenever ``2 * workers`` jobs are pending, so no more later pieces
     than that are alive.  Every term depends on j alone, so each
     coefficient's bits depend on the block length only: not on the CPU
-    count, the order in which jobs finish, or where a piece ends.
+    count, the run length, the order in which jobs finish, or where a
+    piece ends.
     """
     if l_hi < l_lo:
         raise ValueError("empty frequency window")
@@ -261,11 +300,10 @@ def assemble_line(data: list[_Member], bump: BumpSpec, l_lo: int,
     # line, is folded before any later piece is added
     jobs = [(i, a) for i in range(len(blocks)) for a in range(0, n, step)]
     workers = min(cpus, len(jobs))
-    ramp = np.arange(step, dtype=np.float64)
     # the scratch and the later pieces are allocated here: worker threads
     # allocating their own take separate malloc arenas, which raised the
     # peak RSS of the M = 4, 8, 16 factors from 146 to 171 MB
-    free = [_scratch(ramp, step) for _ in range(workers)]
+    free = [_scratch() for _ in range(workers)]
 
     def run(block, out, a, b):
         scratch = free.pop()            # at most `workers` jobs run at once

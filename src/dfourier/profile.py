@@ -161,8 +161,10 @@ class ApproximationProfile:
                             ("_theta", self.theta_table),
                             ("_pair", self.pair_table)):
             object.__setattr__(self, name, dict(table))
-        # bucket() results per (eta, scale), also outside the fields
+        # bucket() results per (eta, scale) and _bucket_labels() per eta,
+        # also outside the fields
         object.__setattr__(self, "_buckets", {})
+        object.__setattr__(self, "_labels", {})
         object.__setattr__(self, "member_list",
                            tuple(sorted(int(q) for q in self.member_list)))
         object.__setattr__(self, "member_classes",
@@ -409,13 +411,29 @@ class ApproximationProfile:
         k = np.where(snap, r, np.ceil(u)).astype(np.int64) - 1
         return qs, k
 
+    def _bucket_labels(self, eta: float) -> np.ndarray:
+        """Bucket index of every q in [q_min, q_max], -1 off the members.
+
+        One ``_bucket_index`` pass per eta, kept as int16 (2 bytes per q;
+        an index is below 1200 even at the smallest positive radius), so
+        cutting another bucket does not index the window again.
+        """
+        labels = self._labels.get(eta)
+        if labels is None:
+            qs, idx = self._bucket_index(eta)
+            labels = np.full(self.q_max - self.q_min + 1, -1, dtype=np.int16)
+            labels[qs - self.q_min] = idx
+            self._labels[eta] = labels
+        return labels
+
     def bucket(self, eta: float, scale: int) -> "Bucket":
         """Members q with (psi(q)/q)**eta in [1/(2M), 1/M), M = ``scale``.
 
         Boundary hits (u within one part in 1e12 of an integer) go to
         the lower bucket, deterministically.  Each bucket is built once
         per profile, here or by ``scale_set``, which hands over the
-        admissible ones; its member array is read-only.
+        admissible ones, and cut from the ``_bucket_labels`` of its eta;
+        its member array is read-only.
         """
         k = int(scale).bit_length() - 1
         if scale != 1 << k:
@@ -424,13 +442,13 @@ class ApproximationProfile:
             raise ProfileError("weight exponent eta must lie in (0, 1)")
         found = self._buckets.get((eta, scale))
         if found is None:
-            qs, idx = self._bucket_index(eta)
-            found = self._new_bucket(eta, k, qs[idx == k])
+            found = self._new_bucket(eta, k)
             self._buckets[(eta, scale)] = found
         return found
 
-    def _new_bucket(self, eta: float, k: int, members: np.ndarray) -> "Bucket":
-        """The bucket at scale 2**k from its member array, made read-only."""
+    def _new_bucket(self, eta: float, k: int) -> "Bucket":
+        """The bucket at scale 2**k cut from the labels of eta, read-only."""
+        members = self.q_min + np.flatnonzero(self._bucket_labels(eta) == k)
         members.flags.writeable = False
         psi = self.psi_values(members)
         mass = float(np.sum((psi / members) ** eta)) if len(members) else 0.0
@@ -456,17 +474,16 @@ class ApproximationProfile:
 
         A scale M = 2**k qualifies when its bucket mass is at least
         1/k**2; it is admissible when it also is not window-limited.
-        Every bucket is cut from one ``_bucket_index`` pass, and the
-        admissible ones go to the ``bucket`` memo (the whole window's
-        arrays are not kept), so a build indexes the window once.
+        Every bucket is cut from the ``_bucket_labels`` of eta, and the
+        admissible ones go to the ``bucket`` memo, so a profile indexes
+        the window once per eta.
         """
-        qs, idx = self._bucket_index(eta)
-        top = int(idx.max(initial=0))
+        top = int(self._bucket_labels(eta).max(initial=0))
         if k_max is not None:
             top = max(top, int(k_max))
         entries = []
         for k in range(1, top + 1):
-            b = self._new_bucket(eta, k, qs[idx == k])
+            b = self._new_bucket(eta, k)
             M = 1 << k
             entry = ScaleEntry(
                 k=k, scale=M, count=b.count, mass=b.mass,

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dfourier import (
+    ApproximationProfile,
     ArtifactError,
     BandwidthBudgetError,
     BuildConfig,
@@ -175,11 +176,16 @@ def _oracle_coefficient(prof, members, l, bump=BUMP):
 
 @pytest.mark.parametrize("scale, ls", [(16, (82984, 85008, 85140)),
                                        (8, (5400, 11466)),
-                                       (64, (10033, 40663, 80960))])
+                                       (64, (10033, 40663, 80960)),
+                                       (16, (499980, 500000, 500040)),
+                                       (16, (1499970, 1500000)),
+                                       (16, (1843800, 1844000, 1844040))])
 def test_assemble_line_matches_exact_phase_oracle(reference_profile, scale,
                                                   ls):
     # frequencies where rounding shift*j before reducing it cost the most
-    # (up to 2.1e-14 off); exactly reduced phases stay below 1e-16
+    # (up to 2.1e-14 off); exactly reduced phases stay below 1e-16.  The
+    # M=16 points out to its band edge put the kernel's table sine at
+    # arguments in the tens to hundreds
     prof = reference_profile
     members = prof.bucket(ETA, scale).members
     data = _member_data(prof, members)
@@ -200,6 +206,62 @@ def test_assemble_line_is_chunk_invariant(reference_profile, monkeypatch,
     for chunk in (1023, 1025, 4097):
         monkeypatch.setattr(measure, "_CHUNK", chunk)
         assert np.array_equal(assemble_line(data, bump, lo, hi), one_pass)
+
+
+def test_assemble_line_shifted_pairs_match_exact_phase_oracle():
+    # the pair (1, 1) gives most hits a residue p0 != 0, whose p0*j mod lp
+    # is taken in integers
+    prof = ApproximationProfile(q_min=2, q_max=2000, theta_value=0.3,
+                                coprime_kind="table",
+                                pair_table={q: (1, 1) for q in range(2, 60)})
+    members = prof.bucket(ETA, 16).members
+    data = _member_data(prof, members)
+    assert sum(bool(hit[3]) for mem in data for hit in mem.hits) > 50
+    ls = (82984, 85008)
+    line = assemble_line(data, BUMP, min(ls), max(ls))
+    for l in ls:
+        want = _oracle_coefficient(prof, members, l)
+        assert abs(line[l - min(ls)] - want) <= 1e-15, l
+
+
+@pytest.mark.parametrize("scale", [4, 8])
+def test_assemble_line_is_run_length_invariant(reference_profile, monkeypatch,
+                                               scale):
+    # a window starting mid-block gives the same bits in runs of any
+    # number of table rows, and the scratch is one run whatever the piece
+    data = _member_data(reference_profile,
+                        reference_profile.bucket(ETA, scale).members)
+    lo, hi = 1500, 150000
+    default = assemble_line(data, BUMP, lo, hi)
+    made, inner = [], measure._scratch
+
+    def scratch():
+        made.append(inner())
+        return made[-1]
+    monkeypatch.setattr(measure, "_scratch", scratch)
+    for rows in (1, 3):
+        monkeypatch.setattr(measure, "_RUN_ROWS", rows)
+        made.clear()
+        assert np.array_equal(assemble_line(data, BUMP, lo, hi), default)
+        assert made and all(buf.size == rows * measure._BLOCK
+                            for bufs in made for buf in bufs)
+
+
+@pytest.mark.parametrize("scale", [4, 8, 16])
+def test_assemble_line_center_is_the_mean_coefficient(reference_profile,
+                                                      scale):
+    # at l = 0 the kernel is exactly 1 and every phase is 1, so the
+    # center is every hit's coef summed member by member, hit by hit, and
+    # divided by the member count: the regime fixture's raw center
+    data = _member_data(reference_profile,
+                        reference_profile.bucket(ETA, scale).members)
+    assert len(data) <= measure._BLOCK_MEMBERS
+    total = 0.0
+    for mem in data:
+        for hit in mem.hits:
+            total += hit[1]
+    got = assemble_line(data, BUMP, 0, 0)
+    assert got[0].real == total / len(data) and got[0].imag == 0.0
 
 
 def _cpus(monkeypatch, n):
@@ -279,11 +341,10 @@ def _block_fold(data, lo, hi):
     added in order."""
     n = hi - lo + 1
     step = measure._CHUNK
-    ramp = np.arange(min(step, n), dtype=np.float64)
     line = np.zeros(n, dtype=complex)
     for i in range(0, len(data), measure._BLOCK_MEMBERS):
         part = np.zeros(n, dtype=complex)
-        scratch = measure._scratch(ramp, len(ramp))
+        scratch = measure._scratch()
         for a in range(0, n, step):
             measure._line_segment(data[i:i + measure._BLOCK_MEMBERS], BUMP,
                                   part[a:a + step], lo + a,
@@ -403,8 +464,7 @@ def test_assemble_line_one_block_is_one_serial_pass(reference_profile,
     assert len(data) == 26
     n = 80961
     want = np.zeros(n, dtype=complex)
-    measure._line_segment(data, BUMP, want, 0, n - 1, measure._scratch(
-        np.arange(n, dtype=np.float64), n))
+    measure._line_segment(data, BUMP, want, 0, n - 1, measure._scratch())
     want /= len(data)
     for cpus in (1, 2):
         _cpus(monkeypatch, cpus)

@@ -8,9 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dfourier.arith import coprime_density
+from dfourier.bump import BumpSpec
 from dfourier.errors import ProfileError
-from dfourier.measure import build_measure
-from dfourier.profile import ApproximationProfile, power_law_profile
+from dfourier.measure import build_measure, gm_series
+from dfourier.profile import ApproximationProfile, Bucket, power_law_profile
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +124,38 @@ def test_scale_set_fills_the_bucket_memo(monkeypatch):
     monkeypatch.setattr(ApproximationProfile, "_bucket_index", counted)
     build_measure(power_law_profile(2.0, 1_000_000, q_min=2, theta=0.3),
                   eta=0.3, eps=0.05, stages=1)
+    assert calls == [0.3]
+
+
+def test_bucket_labels_index_the_window_once_per_eta(monkeypatch):
+    # every bucket is a fresh _bucket_index cut, and gm_series at three
+    # scales indexes the window once
+    warm = power_law_profile(2.0, 50_000, q_min=2, theta=0.3)
+    for eta in (0.3, 0.5):
+        qs, idx = warm._bucket_index(eta)
+        for k in range(int(idx.max()) + 2):
+            members = qs[idx == k]
+            psi = warm.psi_values(members)
+            want = Bucket(scale=1 << k, k=k, members=members,
+                          mass=float(np.sum((psi / members) ** eta))
+                          if len(members) else 0.0,
+                          window_limited=warm._window_limited(eta, k,
+                                                              members))
+            assert _same_bucket(warm.bucket(eta, 1 << k), want), (eta, k)
+        labels = warm._labels[eta]
+        assert labels.dtype == np.int16 and labels.nbytes == 2 * 49_999
+
+    calls = []
+    index = ApproximationProfile._bucket_index
+
+    def counted(self, eta):
+        calls.append(eta)
+        return index(self, eta)
+    monkeypatch.setattr(ApproximationProfile, "_bucket_index", counted)
+    prof = power_law_profile(2.0, 1_000_000, q_min=2, theta=0.3)
+    for scale in (4, 8, 16):
+        gm_series(prof, BumpSpec(), 0.3, scale, 1e-8, 1 << 26,
+                  band_cap=2000)
     assert calls == [0.3]
 
 
