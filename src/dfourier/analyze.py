@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -183,24 +183,6 @@ class DecayReport:
     stages: int
     requested_stages: int
 
-    def to_dict(self) -> dict:
-        return {
-            "bands": [{"j": b.j, "lo": b.lo, "hi": b.hi,
-                       "samples": b.samples, "sup_abs": b.sup_abs,
-                       "xi_argmax": b.xi_argmax, "certified": b.certified}
-                      for b in self.bands],
-            "fitted_slope": self.fitted_slope,
-            "fit_bands_used": list(self.fit_bands_used),
-            "target_exponent": self.target_exponent,
-            "predicted_dimension": self.predicted_dimension,
-            "nu_hat_zero": self.nu_hat_zero,
-            "pointwise_error_bound": self.pointwise_error_bound,
-            "sampling_remainder": self.sampling_remainder,
-            "scales": list(self.scales),
-            "stages": self.stages,
-            "requested_stages": self.requested_stages,
-        }
-
 
 def predicted_dimension(profile: ApproximationProfile) -> float:
     """min(2 s, 1) from the profile's critical series exponent."""
@@ -234,7 +216,7 @@ def decay_report(stage: MeasureStage,
     grid = build_xi_grid(xi_max, cfg.samples_per_band)
     grid = grid[grid <= coverage]
     vals = np.abs(transform_samples(stage, grid))
-    nu0 = float(np.abs(transform_samples(stage, np.array([0.0]))[0]))
+    nu0 = float(vals[0])                # the grid always starts at 0.0
     floor = pointwise_error_bound(stage, min(xi_max, float(coverage)))
     rem = sampling_remainder(stage)
 
@@ -682,19 +664,6 @@ class UpperBoundReport:
     eps_used: float
     z_direct: float
 
-    def to_dict(self) -> dict:
-        return {
-            "per_q": [dict(r) for r in self.per_q],
-            "constant": self.constant,
-            "series_partial": self.series_partial,
-            "measured_partial": self.measured_partial,
-            "max_increment_beyond": self.max_increment_beyond,
-            "increment_cutoff": self.increment_cutoff,
-            "s_used": self.s_used,
-            "eps_used": self.eps_used,
-            "z_direct": self.z_direct,
-        }
-
 
 def borel_cantelli_report(stage: MeasureStage, s: float | None = None,
                           eps: float | None = None,
@@ -748,33 +717,36 @@ def borel_cantelli_report(stage: MeasureStage, s: float | None = None,
 # report writers
 # ----------------------------------------------------------------------
 
-_DECAY_COLUMNS = ("j", "lo", "hi", "samples", "sup_abs", "xi_argmax",
-                  "certified")
 _UPPER_COLUMNS = ("q", "intervals", "total_length", "measured", "bound",
                   "ratio")
 
 
 def write_report_json(report, path) -> None:
+    """One report or log, a dataclass or a plain dict, as sorted JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
+        json.dump(asdict(report) if is_dataclass(report) else report, fh,
+                  sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def write_decay_csv(report: DecayReport, path) -> None:
+def _cell(value):
+    if isinstance(value, bool):
+        return int(value)
+    return repr(float(value)) if isinstance(value, float) else value
+
+
+def write_csv(path, columns, rows) -> None:
+    """A table of dict rows: floats by repr (every bit), bools as 0/1."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         out = csv.writer(fh)
-        out.writerow(_DECAY_COLUMNS)
-        for b in report.bands:
-            out.writerow([b.j, repr(b.lo), repr(b.hi), b.samples,
-                          repr(b.sup_abs), repr(b.xi_argmax),
-                          int(b.certified)])
+        out.writerow(columns)
+        out.writerows([_cell(row[c]) for c in columns] for row in rows)
+
+
+def write_decay_csv(report: DecayReport, path) -> None:
+    write_csv(path, [f.name for f in fields(DecayBand)],
+              map(asdict, report.bands))
 
 
 def write_upper_csv(report: UpperBoundReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(_UPPER_COLUMNS)
-        for row in report.per_q:
-            out.writerow([row["q"], row["intervals"],
-                          repr(row["total_length"]), repr(row["measured"]),
-                          repr(row["bound"]), repr(row["ratio"])])
+    write_csv(path, _UPPER_COLUMNS, report.per_q)

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from dfourier.arith import (
     ramanujan_sum_bruteforce,
@@ -24,6 +24,7 @@ from dfourier.arith import (
 from dfourier.analyze import (
     borel_cantelli_report,
     decay_report,
+    write_csv,
     write_decay_csv,
     write_report_json,
     write_upper_csv,
@@ -200,11 +201,8 @@ def cmd_buckets(args: argparse.Namespace) -> int:
     if cfg.format == "csv" and rows:
         os.makedirs(cfg.output_dir, exist_ok=True)
         out = os.path.join(cfg.output_dir, "buckets.csv")
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("k,M,count,mass,qualifies,size_ratio\n")
-            for e in rows:
-                fh.write(f"{e.k},{e.scale},{e.count},{e.mass!r},"
-                         f"{int(e.qualifies)},{e.size_ratio!r}\n")
+        write_csv(out, ("k", "M", "count", "mass", "qualifies", "size_ratio"),
+                  ({**asdict(e), "M": e.scale} for e in rows))
         print(f"table written to {out}")
     return EXIT_OK
 
@@ -219,17 +217,14 @@ def _write_build_outputs(stage: MeasureStage, cfg: RunConfig,
         "error": error,
         "requested_stages": stage.requested_stages,
         "stages_completed": stage.stages,
-        "scales": list(stage.scales),
+        "scales": stage.scales,
         "c_stab": stage.c_stab,
         "normalization": stage.normalization,
         "uniform_error_bound": stage.uniform_error_bound,
-        "per_stage": [list(probes) for probes in stage.gap_log],
-        "factors": [dict(f) for f in stage.factor_summaries],
+        "per_stage": stage.gap_log,
+        "factors": stage.factor_summaries,
     }
-    with open(os.path.join(cfg.output_dir, BUILD_LOG), "w",
-              encoding="utf-8") as fh:
-        json.dump(log, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_report_json(log, os.path.join(cfg.output_dir, BUILD_LOG))
     return stage_path
 
 

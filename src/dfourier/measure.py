@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import TWO_PI, divisor_hits, divisor_sum, divisors, residue_count
+from .arith import TWO_PI, divisor_hits, divisor_sum, divisors
 from .bump import BumpSpec
 from .errors import (ArtifactError, BandwidthBudgetError, ProfileError,
                      WindowExhaustedError)
@@ -115,14 +115,13 @@ def _member_data(profile: ApproximationProfile, members: np.ndarray) -> list[_Me
     data = []
     for q_np, p in zip(members, psi):
         q = int(q_np)
-        a, b = profile.pair(q)
-        n_i = residue_count(q, b)
+        terms = divisor_hits(q, *profile.pair(q))
+        n_i = sum(mu * g for _, g, mu, _ in terms)      # S(q, 0) = #I_q
         theta = profile.theta_of(q)
         big = 134217729.0 * theta           # 2**27 + 1: Veltkamp split
         hi = big - (big - theta)
         # frequency l = g*j carries phase e(-j*(theta + p0)/lp)
-        hits = tuple((g, mu * g / n_i, lp, p0)
-                     for lp, g, mu, p0 in divisor_hits(q, a, b))
+        hits = tuple((g, mu * g / n_i, lp, p0) for lp, g, mu, p0 in terms)
         sig = tuple((d, divisor_sum(d)) for d in divisors(q))
         data.append(_Member(q=q, rate=float(p) / q, count=n_i, hits=hits,
                             theta=(hi, theta - hi), sigma_divisors=sig))
@@ -383,10 +382,9 @@ def factor_tail_profiles(stage: MeasureStage) -> list[tuple]:
     """
     profile, bump, eta = stage.profile, stage.config.bump, stage.eta
     rows = []
-    for summary in stage.factor_summaries:
-        info = dict(summary)
-        _, data = _bucket_data(profile, eta, int(info["scale"]))
-        rows.append((int(info["half_bandwidth"]), float(info["l1_norm"]),
+    for info in stage.factor_summaries:
+        _, data = _bucket_data(profile, eta, info["scale"])
+        rows.append((info["half_bandwidth"], info["l1_norm"],
                      lambda L, d=data: envelope_tail(d, bump, int(L))))
     return rows
 
@@ -394,9 +392,10 @@ def factor_tail_profiles(stage: MeasureStage) -> list[tuple]:
 def certified_half_bandwidth(tail, tail_tol: float) -> int:
     """Smallest half-bandwidth L in [0, 2**40] with ``tail(L) <= tail_tol``.
 
-    ``tail`` is a ``_tail_function``.  It does not increase with L, so
-    one binary search finds that L whatever the caller's budget.  A tail
-    that is still above the tolerance at 2**40 gives 2**40.
+    ``tail`` (a ``_tail_function``, or the window's tail in
+    ``h0_series``) does not increase with L, so one binary search finds
+    that L whatever the caller's budget.  A tail that is still above the
+    tolerance at 2**40 gives 2**40.
     """
     lo, hi = 0, 1 << 40
     while lo < hi:
@@ -413,13 +412,17 @@ def certified_half_bandwidth(tail, tail_tol: float) -> int:
 # ----------------------------------------------------------------------
 
 def h0_series(bump: BumpSpec, tail_tol: float) -> TruncatedFourierSeries:
-    """Integer-frequency series of the unit-interval window h0."""
-    # the tail decreases with L, so the far end decides reachability
-    if 2.0 * bump.window_tail_sum(10**6) > tail_tol:
-        raise ValueError("window tail does not reach the tolerance")
-    L = 1
-    while 2.0 * bump.window_tail_sum(L) > tail_tol:
-        L += 1
+    """Integer-frequency series of the unit-interval window h0.
+
+    The half-band is the least L >= 1 whose two-sided window tail is
+    within ``tail_tol``; a tolerance that needs L > 10**6 raises
+    ``ProfileError``.
+    """
+    L = max(1, certified_half_bandwidth(
+        lambda L: 2.0 * bump.window_tail_sum(L), tail_tol))
+    if L > 10**6:
+        raise ProfileError(f"config key tail_tol: the window tail does not "
+                           f"reach {tail_tol!r} within 10**6 frequencies")
     coeffs = bump.window_transform(np.arange(-L, L + 1, dtype=float))
     return TruncatedFourierSeries(coeffs, tail_bound=2.0 * bump.window_tail_sum(L))
 
@@ -659,6 +662,12 @@ class BuildConfig:
         if type(t) not in (int, float) or not 0.0 < t < math.inf:
             raise ProfileError("config key tail_tol must be a number in (0, inf)")
         object.__setattr__(self, "xi_max", int(x))
+        if (self.xi_max + (self.bandwidth_budget - 1) // 2
+                + self.kernel_halfwidth >= _J_LIMIT):
+            raise ProfileError(
+                "config keys xi_max + (bandwidth_budget - 1) // 2 + "
+                "kernel_halfwidth must stay below 2**26, the reach of the "
+                "exact phase tables")
 
     def h0(self) -> TruncatedFourierSeries:
         """Window series at the build tolerance, never coarser than 1e-13."""
@@ -673,7 +682,8 @@ class MeasureStage:
     the density has mean exactly 1; the analyzer pairs it with the
     closed-form window transform to evaluate the measure transform off
     the integers.  ``density`` (g-product times the window h0) is derived
-    from it on first use.
+    from it on first use.  ``gap_log`` holds each stage's probe rows and
+    ``factor_summaries`` each factor's ``GmFactor.summary()``, as dicts.
     """
     profile: ApproximationProfile
     eta: float
@@ -722,10 +732,10 @@ class MeasureStage:
             "requested_stages": self.requested_stages,
             "s_value": self.s_value,
             "s_mode": self.s_mode,
-            "scales": list(self.scales),
+            "scales": self.scales,
             "c_stab": self.c_stab,
-            "gap_log": [list(stage) for stage in self.gap_log],
-            "factors": [dict(f) for f in self.factor_summaries],
+            "gap_log": self.gap_log,
+            "factors": self.factor_summaries,
             "normalization": self.normalization,
             "uniform_error_bound": self.uniform_error_bound,
             "nonneg_min": self.nonneg_min,
@@ -796,8 +806,7 @@ class MeasureStage:
             config=cfg, s_value=header["s_value"], s_mode=header["s_mode"],
             scales=tuple(header["scales"]), c_stab=header["c_stab"],
             gap_log=tuple(tuple(stage) for stage in header["gap_log"]),
-            factor_summaries=tuple(tuple(sorted(f.items()))
-                                   for f in header["factors"]),
+            factor_summaries=tuple(header["factors"]),
             gfactors=TruncatedFourierSeries(block.astype(np.complex128),
                                             header["gfactors_tail_bound"]),
             normalization=header["normalization"],
@@ -864,8 +873,7 @@ def _finalize(profile: ApproximationProfile, eta: float, eps: float,
         config=cfg, s_value=s_res.value, s_mode=s_res.mode,
         scales=tuple(f.scale for f in factors), c_stab=c_stab,
         gap_log=tuple(tuple(stage) for stage in gap_log),
-        factor_summaries=tuple(tuple(sorted(f.summary().items()))
-                               for f in factors),
+        factor_summaries=tuple(f.summary() for f in factors),
         gfactors=gf.slice_to(min(_export_band(cfg, h0), gf.half_bandwidth)),
         normalization=float(z),
         uniform_error_bound=float(uniform_error),
@@ -903,10 +911,10 @@ def build_measure(profile: ApproximationProfile, eta: float | None = None,
             f"{s_res.value:.4f}; need smoothness > s + 4")
     if stages < 0:
         raise ProfileError("stage count must be nonnegative")
+    h0 = cfg.h0()                       # raises on an unreachable tail_tol
 
     entries = profile.scale_set(eta).admissible()
     xi_grid = build_xi_grid(cfg.xi_max, cfg.samples_per_band)
-    h0 = cfg.h0()
     # non-final products reserve the window band so the density product
     # in _finalize can never be the first thing to overflow
     prod_budget = cfg.bandwidth_budget - 2 * h0.half_bandwidth

@@ -1,6 +1,7 @@
 """Transform sampling, decay reports, support witnesses, interval masses."""
 import json
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from dfourier import (
     support_witness_scan,
     support_witnesses,
     transform_samples,
+    write_csv,
     write_decay_csv,
     write_report_json,
     write_upper_csv,
@@ -498,7 +500,25 @@ def test_json_writer_round_trips(r1, tmp_path):
     write_report_json(r1, path)
     text = path.read_text()
     assert text.endswith("\n")
-    assert json.loads(text) == r1.to_dict()
+    # the record as asdict gives it; JSON reads its tuples back as lists
+    assert json.loads(text) == {k: list(v) if isinstance(v, tuple) else v
+                                for k, v in asdict(r1).items()}
+
+
+def test_json_writer_takes_a_plain_dict(tmp_path):
+    path = tmp_path / "log.json"
+    write_report_json({"b": (1, 2), "a": None}, path)
+    assert path.read_text() == '{\n  "a": null,\n  "b": [\n    1,\n    2\n  ]\n}\n'
+
+
+def test_csv_writer_dialect(tmp_path):
+    path = tmp_path / "table.csv"
+    rows = [{"n": 3, "x": 0.1, "y": np.float64(1 / 3), "ok": True},
+            {"n": np.int64(4), "x": 2.0, "y": 1e-300, "ok": False}]
+    write_csv(path, ("n", "ok", "x", "y"), rows)
+    # floats by repr, bools as 0/1, the csv module's row ends
+    assert path.read_bytes() == (b"n,ok,x,y\r\n3,1,0.1,0.3333333333333333\r\n"
+                                 b"4,0,2.0,1e-300\r\n")
 
 
 def test_decay_csv_full_precision(r0, tmp_path):

@@ -11,6 +11,7 @@ from dfourier.arith import (
     bound_ratio_scan,
     coprime_density,
     divisor_count,
+    divisor_hits,
     divisor_sum,
     divisors,
     euler_phi,
@@ -97,6 +98,16 @@ def test_residue_count_matches_enumeration(q, a, b):
     assert rs.count == residue_count(q, b)
     # density is exact and independent of a
     assert Fraction(rs.count, q) == coprime_density(q, b)
+
+
+def test_divisor_hits_at_zero_count_the_residue_set():
+    # S(q, 0) = sum of mu(l) * q/l over the hits is #I_q, which is how
+    # the factor tables take the count
+    for a, b in ((0, 1), (1, None), (1, 2), (3, 5), (2, 7)):
+        for q in range(1, 3000):
+            bq = q if b is None else b
+            hits = divisor_hits(q, a, bq)
+            assert sum(mu * g for _, g, mu, _ in hits) == residue_count(q, bq)
 
 
 def test_coprime_density_values():

@@ -10,6 +10,7 @@ from dfourier import (
     BandwidthBudgetError,
     BumpSpec,
     TruncatedFourierSeries,
+    ProfileError,
     constant_series,
     h0_series,
     series_multiply,
@@ -177,6 +178,16 @@ def test_h0_series_frozen_anchor():
 def test_h0_series_unreachable_tolerance():
     with pytest.raises(ValueError):
         h0_series(BUMP, 0.0)
+
+
+def test_h0_series_band_search_matches_the_linear_scan():
+    # the least L >= 1 with 2 * window_tail_sum(L) <= tol, within 10**6
+    for tol, want in ((1e-13, 57), (1e-8, 20), (1e-3, 7), (1e-20, 244),
+                      (1e-40, 15996), (1e-55, 369520), (1.0, 4), (1e6, 1)):
+        assert h0_series(BUMP, tol).half_bandwidth == want
+        assert want == 1 or 2.0 * BUMP.window_tail_sum(want - 1) > tol
+    with pytest.raises(ProfileError, match="tail_tol"):
+        h0_series(BUMP, 1e-300)
 
 
 # ----------------------------------------------------------------------

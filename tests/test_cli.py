@@ -469,6 +469,22 @@ def test_bad_run_config_is_usage_error(tmp_path, capsys, key, value, via):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("key, value", [("tail_tol", "1e-300"),
+                                        ("xi_max", "67108864")])
+def test_unreachable_build_key_is_usage_error(tmp_path, capsys, key, value):
+    # the window tail cannot reach 1e-300 within 10**6 frequencies, and
+    # the probe lines of xi_max = 2**26 would pass the exact phase tables:
+    # both stop before any table or artifact is made
+    out_dir = tmp_path / "out"
+    assert main(["build", "--config", REFERENCE_CONFIG,
+                 f"--{key.replace('_', '-')}", value,
+                 "--output-dir", str(out_dir)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert key in captured.err
+    assert "Traceback" not in captured.err
+    assert not out_dir.exists()
+
+
 def test_config_validation_messages(tmp_path, capsys):
     cfg = tiny_config(tmp_path, 50, name="badfmt.json", format="yaml")
     assert main(["buckets", "--config", cfg]) == EXIT_USAGE

@@ -780,6 +780,9 @@ def test_build_rejects_rough_kernel(reference_profile):
     ("bandwidth_budget", 0),
     ("xi_max", 4096.7),
     ("tail_tol", -1.0),
+    # lines past j = 2**26 would leave the exact phase tables
+    ("xi_max", 1 << 26),
+    ("bandwidth_budget", 1 << 27),
 ])
 def test_build_config_rejects_bad_values(key, value):
     # one check for the CLI, library callers and artifact headers alike
