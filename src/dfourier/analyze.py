@@ -28,6 +28,7 @@ from .measure import envelope_tail  # noqa: F401
 from .profile import ApproximationProfile
 
 _SPIKE_CHUNK = 4096         # spikes integrated per batch
+_UNION_CHUNK = 1 << 17      # residues (the sum of q) per batch of target unions
 _INCREMENT_CUTOFF = 400     # the upper report's increments are taken past it
 
 
@@ -380,19 +381,21 @@ def _merge_intervals(lo: np.ndarray, hi: np.ndarray):
 
 def _clip_to_union(a: np.ndarray, b: np.ndarray, lo: np.ndarray,
                    hi: np.ndarray):
-    """Nonempty pieces of each [a[k], b[k]] inside a disjoint sorted union.
-
-    Returns the owner k of every piece and the piece's ends, grouped by
-    owner in order.
-    """
-    i = np.searchsorted(hi, a, side="right")
-    n = np.maximum(np.searchsorted(lo, b, side="left") - i, 0)
-    owner = np.repeat(np.arange(len(a)), n)
-    piece = np.arange(int(n.sum())) + np.repeat(i - np.cumsum(n) + n, n)
+    """Nonempty pieces of each [a[k], b[k]] inside each [lo[j], hi[j]]:
+    owner k, interval j and the piece's ends, by owner, then j.  An
+    interval's candidates run, in order of a, from the first owner whose
+    running max of b passes lo[j] to the last with a below hi[j]."""
+    order = np.argsort(a, kind="stable")
+    first = np.searchsorted(np.maximum.accumulate(b[order]), lo, side="right")
+    n = np.maximum(np.searchsorted(a[order], hi, side="left") - first, 0)
+    piece = np.repeat(np.arange(len(lo)), n)
+    owner = order[np.arange(int(n.sum()))
+                  + np.repeat(first - np.cumsum(n) + n, n)]
     seg_lo = np.maximum(lo[piece], a[owner])
     seg_hi = np.minimum(hi[piece], b[owner])
-    keep = seg_lo < seg_hi
-    return owner[keep], seg_lo[keep], seg_hi[keep]
+    keep = np.flatnonzero(seg_lo < seg_hi)
+    keep = keep[np.lexsort((piece[keep], owner[keep]))]
+    return owner[keep], piece[keep], seg_lo[keep], seg_hi[keep]
 
 
 def _wrap_copies(c: np.ndarray, r):
@@ -450,9 +453,10 @@ class DirectDensity:
     bump(u) / rate in the coordinate u = (x - c) / rate, and its mass is
     an 8-node Gauss-Legendre rule on each of the bump's polynomial pieces,
     clipped to the target, of bump(u) times the window and the coarser
-    combs at x = c + rate * u.  Whole-spike masses are computed once: they
-    sum to ``z``, and a target interval that holds a spike whole reuses
-    its mass, so only spikes that cross a target edge are integrated again.
+    combs at x = c + rate * u, evaluated only on the pieces the target
+    meets and summed in a fixed order, whatever the batch.  Whole-spike masses are computed once: they sum to ``z``, and a target
+    interval that holds a spike whole reuses its mass, so only spikes
+    that cross a target edge are integrated again.
     """
 
     def __init__(self, stage: MeasureStage):
@@ -494,21 +498,24 @@ class DirectDensity:
 
     def _spike_mass(self, rows: np.ndarray, ua: np.ndarray,
                     ub: np.ndarray) -> np.ndarray:
-        """Mass of each listed spike over u in [ua, ub]."""
+        """Mass of each listed spike over u in [ua, ub], from its pieces
+        of positive width only; nodes are summed in order and pieces by
+        ``np.sum`` over the spike's row, the same bits in any batch."""
         out = np.empty(len(rows))
         for s in range(0, len(rows), _SPIKE_CHUNK):
             sl = slice(s, s + _SPIKE_CHUNK)
             a = np.maximum(self._knots[:-1], ua[sl, None])
             b = np.minimum(self._knots[1:], ub[sl, None])
             half = np.maximum(0.5 * (b - a), 0.0)
-            u = (0.5 * (a + b))[..., None] + half[..., None] * self._nodes
+            live = np.nonzero(half > 0.0)
+            u = (0.5 * (a + b))[live] + half[live] * self._nodes[:, None]
             f = self.bump.value(u)
             if self.combs:
-                r = rows[sl, None, None]
+                r = rows[sl][live[0]]
                 x = (self._c[r] + self._rate[r] * u).ravel()
                 f = f * self._product(x, self.combs[:-1]).reshape(u.shape)
-            out[sl] = self._weight[rows[sl]] * np.sum(
-                half * (f @ self._weights), axis=1)
+            half[live] *= sum(fi * wi for fi, wi in zip(f, self._weights))
+            out[sl] = self._weight[rows[sl]] * np.sum(half, axis=1)
         return out
 
     @property
@@ -521,21 +528,30 @@ class DirectDensity:
                           if self.combs else np.ones(1))  # h0 has mass 1
         return float(np.sum(self._mass))
 
-    def measure_of_intervals(self, lo, hi) -> float:
-        """Normalized mass of a disjoint sorted interval union in [0, 1]."""
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
+    def measure_of_intervals(self, lo, hi):
+        """Normalized mass of a disjoint sorted interval union in [0, 1],
+        or of every row of a 2-D stack of them (padded with empty
+        intervals) from one ``_spike_mass`` call, each row as if alone."""
+        one = np.ndim(lo) < 2
+        lo, hi = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (lo, hi))
         z = self.z  # also caches the whole-spike masses
         r = self.bump.shrink * self._rate
         s_lo, s_hi = self._c - r, self._c + r
-        k, a, b = _clip_to_union(s_lo, s_hi, lo, hi)
+        j = np.flatnonzero(lo < hi)
+        k, i, a, b = _clip_to_union(s_lo, s_hi, lo.ravel()[j], hi.ravel()[j])
         whole = (a == s_lo[k]) & (b == s_hi[k])
         cut = k[~whole]
         rate = self._rate[cut]
-        total = np.sum(self._mass[k[whole]]) + np.sum(
-            self._spike_mass(cut, (a[~whole] - self._c[cut]) / rate,
-                             (b[~whole] - self._c[cut]) / rate))
-        return float(total) / z
+        mass = self._mass[k]
+        mass[~whole] = self._spike_mass(cut, (a[~whole] - self._c[cut]) / rate,
+                                        (b[~whole] - self._c[cut]) / rate)
+        # per row: its whole spikes, then its cut ones, each in spike order
+        key = 2 * (j[i] // max(lo.shape[1], 1)) + ~whole
+        part = np.split(mass[np.argsort(key, kind="stable")], np.cumsum(
+            np.bincount(key, minlength=2 * len(lo)))[:-1])
+        out = np.array([np.sum(w) + np.sum(m) for w, m in zip(part[::2],
+                                                            part[1::2])]) / z
+        return float(out[0]) if one else out
 
 
 # ----------------------------------------------------------------------
@@ -592,19 +608,39 @@ def support_witness_scan(stage: MeasureStage, n_grid: int = 1 << 14,
 # interval masses and the upper-bound comparison
 # ----------------------------------------------------------------------
 
+def _target_unions(profile: ApproximationProfile, qs: np.ndarray):
+    """Full-radius interval unions of every modulus in qs at once: rows
+    padded with empty intervals, each row's interval count, and #I_q (0
+    where psi = 0).  Each q's wrap copies merge as for a lone q: the ends
+    are ranked once and each q lifted above the last, so one merge does."""
+    qs = np.asarray(qs, dtype=np.int64)
+    psi = profile.psi_values(qs)
+    ab = np.array([profile.pair(q) for q in qs.tolist()],
+                  dtype=np.int64).reshape(-1, 2)
+    span = np.where(psi > 0.0, qs, 0)
+    own = np.repeat(np.arange(len(qs)), span)
+    p = np.arange(len(own)) - np.repeat(np.cumsum(span) - span, span)
+    live = np.gcd(ab[own, 1] * p + ab[own, 0], qs[own]) == 1
+    own, p = own[live], p[live]
+    c = np.mod((p + profile.theta_values(qs)[own]) / qs[own], 1.0)
+    r = (psi / qs)[own]
+    k, shift = _wrap_copies(c, r)
+    ends, rank = np.unique(np.concatenate([
+        np.maximum(c[k] - r[k] + shift, 0.0),
+        np.minimum(c[k] + r[k] + shift, 1.0)]), return_inverse=True)
+    m = max(len(ends), 1)
+    lo, hi = _merge_intervals(*np.split(rank + m * np.tile(own[k], 2), 2))
+    n = np.bincount(lo // m, minlength=len(qs))
+    out = np.zeros((2, len(qs), n.max(initial=0)))
+    out[:, lo // m, np.arange(len(lo)) - np.repeat(np.cumsum(n) - n, n)] = \
+        ends[lo % m], ends[hi % m]
+    return out[0], out[1], n, np.bincount(own, minlength=len(qs))
+
+
 def _target_intervals(profile: ApproximationProfile, q: int):
     """Union of full-radius approximation intervals at modulus q."""
-    psi = float(profile.psi_values(np.array([q]))[0])
-    if psi <= 0.0:
-        return np.array([]), np.array([]), 0
-    theta = float(profile.theta_of(q))
-    rs = residue_set(q, *profile.pair(q))
-    c = np.mod((rs.members.astype(float) + theta) / q, 1.0)
-    r = psi / q
-    k, shift = _wrap_copies(c, r)
-    lo, hi = _merge_intervals(np.maximum(c[k] - r + shift, 0.0),
-                              np.minimum(c[k] + r + shift, 1.0))
-    return lo, hi, rs.count
+    lo, hi, n, count = _target_unions(profile, np.array([q]))
+    return lo[0, :n[0]], hi[0, :n[0]], int(count[0])
 
 
 def measure_of_Aq(stage: MeasureStage, q: int, method: str = "direct",
@@ -672,7 +708,8 @@ def borel_cantelli_report(stage: MeasureStage, s: float | None = None,
 
     Records the one empirical constant (largest measured-to-bound
     ratio), partial sums of both sides, and the largest measured
-    increment past q = ``_INCREMENT_CUTOFF``.
+    increment past q = ``_INCREMENT_CUTOFF``.  Each ``_UNION_CHUNK`` of
+    residues takes one ``_target_unions`` and one ``measure_of_intervals``.
     """
     profile = stage.profile
     if s is None:
@@ -687,23 +724,26 @@ def borel_cantelli_report(stage: MeasureStage, s: float | None = None,
     worst_inc = 0.0
     qs = profile.members()
     qs = qs[qs <= n_max]
-    for q in qs.tolist():
-        lo, hi, count = _target_intervals(profile, int(q))
-        if len(lo) == 0:
-            continue
-        psi = float(profile.psi_values(np.array([q]))[0])
-        measured = dd.measure_of_intervals(lo, hi)
-        bound = 2.0 * psi * (count / q) + (psi / q) ** (s - eps)
-        ratio = measured / bound if bound > 0.0 else math.inf
-        constant = max(constant, ratio)
-        measured_sum += measured
-        bound_sum += bound
-        if q > _INCREMENT_CUTOFF:
-            worst_inc = max(worst_inc, measured)
-        rows.append({"q": int(q), "intervals": int(len(lo)),
-                     "total_length": float((hi - lo).sum()),
-                     "measured": float(measured), "bound": float(bound),
-                     "ratio": float(ratio)})
+    for block in np.array_split(qs, 1 + int(qs.sum()) // _UNION_CHUNK):
+        lo, hi, n, count = _target_unions(profile, block)
+        masses = dd.measure_of_intervals(lo, hi)
+        psis = profile.psi_values(block)
+        for t, q in enumerate(block.tolist()):
+            if n[t] == 0:
+                continue
+            psi, measured = float(psis[t]), float(masses[t])
+            bound = 2.0 * psi * (int(count[t]) / q) + (psi / q) ** (s - eps)
+            ratio = measured / bound if bound > 0.0 else math.inf
+            constant = max(constant, ratio)
+            measured_sum += measured
+            bound_sum += bound
+            if q > _INCREMENT_CUTOFF:
+                worst_inc = max(worst_inc, measured)
+            rows.append({"q": q, "intervals": int(n[t]),
+                         "total_length": float((hi[t, :n[t]]
+                                                - lo[t, :n[t]]).sum()),
+                         "measured": measured, "bound": float(bound),
+                         "ratio": float(ratio)})
     return UpperBoundReport(
         per_q=tuple(rows), constant=float(constant),
         series_partial=float(bound_sum),

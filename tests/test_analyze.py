@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dfourier import (
+    ApproximationProfile,
     DecayBand,
     DecayReport,
     borel_cantelli_report,
@@ -28,7 +29,8 @@ from dfourier import (
     write_upper_csv,
 )
 from dfourier.analyze import (DirectDensity, _clip_to_union, _merge_intervals,
-                              _target_intervals)
+                              _target_intervals, _target_unions)
+from dfourier.arith import residue_set
 
 
 @pytest.fixture(scope="module")
@@ -388,8 +390,9 @@ def test_interval_toolkit_matches_loops(family, clips):
     # many [a, b] at once, unsorted and overlapping, each against the loop
     a = np.array([c[0] for c in clips])
     b = np.array([c[1] for c in clips])
-    owner, got_lo, got_hi = _clip_to_union(a, b, m_lo, m_hi)
+    owner, piece, got_lo, got_hi = _clip_to_union(a, b, m_lo, m_hi)
     assert np.all(np.diff(owner) >= 0)
+    assert np.all((m_lo[piece] <= got_lo) & (got_hi <= m_hi[piece]))
     for k in range(len(a)):
         want_lo, want_hi = _intersect_loop([a[k]], [b[k]], m_lo, m_hi)
         assert np.array_equal(got_lo[owner == k], want_lo)
@@ -407,6 +410,55 @@ def test_target_intervals_wrap_across_the_ends(theta):
         assert count == q and lo[0] == 0.0 and hi[-1] == 1.0
         assert (hi - lo).sum() == pytest.approx(2.0 * count * q ** -3.0,
                                                 rel=1e-12)
+
+
+def _target_loop(profile, q):
+    # oracle: every wrap copy of every residue in the one-q order (all
+    # unshifted, then +1, then -1), stably sorted by lo and merged
+    psi = float(profile.psi_values(np.array([q]))[0])
+    if psi <= 0.0:
+        return np.array([]), np.array([]), 0
+    rs = residue_set(q, *profile.pair(q))
+    c = np.mod((rs.members.astype(float) + profile.theta_of(q)) / q, 1.0)
+    r = psi / q
+    pairs = [(max(ci - r + shift, 0.0), min(ci + r + shift, 1.0))
+             for shift in (0.0, 1.0, -1.0) for ci in c.tolist()
+             if ci - r + shift < 1.0 and ci + r + shift > 0.0]
+    pairs.sort(key=lambda t: t[0])
+    lo, hi = _merge_loop([t[0] for t in pairs], [t[1] for t in pairs])
+    return lo, hi, rs.count
+
+
+@pytest.mark.parametrize("profile", [
+    power_law_profile(2.0, 200, q_min=2, theta=0.0005,
+                      coprime="unrestricted"),
+    power_law_profile(2.0, 200, q_min=2, theta=0.9995),
+    power_law_profile(2.5, 200, q_min=2, theta=0.3),
+    ApproximationProfile(q_min=2, q_max=120, coprime_kind="table",
+                         pair_table={6: (1, 2), 9: (2, 3), 10: (3, 4),
+                                     15: (7, 5), 100: (1, 10)}),
+    ApproximationProfile(q_min=2, q_max=40, psi_kind="table",
+                         psi_table={2: 0.1, 3: 0.0, 5: 0.2, 7: 0.0,
+                                    11: 0.3, 12: 0.45, 40: 0.01},
+                         theta_kind="table",
+                         theta_table={5: 0.99, 11: 0.01, 12: 0.5}),
+], ids=["theta-near-0", "theta-near-1", "tau-2.5", "pair-table",
+        "psi-table-with-zero"])
+def test_target_unions_match_one_q_loop(profile):
+    qs = profile.members()
+    lo, hi, n, count = _target_unions(profile, qs)
+    assert lo.shape == hi.shape == (len(qs), n.max())
+    for t, q in enumerate(qs.tolist()):
+        want_lo, want_hi, want_count = _target_loop(profile, q)
+        assert n[t] == len(want_lo) and count[t] == want_count
+        assert np.array_equal(lo[t, :n[t]], want_lo)
+        assert np.array_equal(hi[t, :n[t]], want_hi)
+        assert not np.any(lo[t, n[t]:] < hi[t, n[t]:])     # empty padding
+        one_lo, one_hi, one_count = _target_intervals(profile, q)
+        assert np.array_equal(one_lo, want_lo)
+        assert np.array_equal(one_hi, want_hi) and one_count == want_count
+    if profile.psi_kind == "table":
+        assert 0 in n and 0 in count          # the zero radii stay empty
 
 
 def _composite_mass(dd, lo, hi, h=2.0 ** -17):
@@ -440,6 +492,45 @@ def test_interval_mass_matches_composite_quadrature(st0, st1, dd1, ends):
         # loses its relative accuracy
         assert dd.measure_of_intervals(lo, hi) == pytest.approx(
             want, rel=1e-10, abs=1e-15)
+
+
+@pytest.mark.parametrize("name", ["st1", "st2"])
+def test_spike_mass_is_batch_independent(request, name):
+    dd = DirectDensity(request.getfixturevalue(name))
+    s = dd.bump.shrink
+    rng = np.random.default_rng(7)
+    n = len(dd._c)
+    rows = np.r_[np.arange(0, n, max(1, n // 60)),
+                 rng.integers(0, n, 120)]
+    ua = np.full(len(rows), -s)
+    ub = np.full(len(rows), s)
+    cut = np.arange(len(rows)) >= len(rows) - 120
+    ends = np.sort(rng.uniform(-s, s, (2, 120)), axis=0)
+    ua[cut], ub[cut] = ends
+    ub[np.flatnonzero(cut)[::3]] = s    # cut on one side only
+    batch = dd._spike_mass(rows, ua, ub)
+    one = np.concatenate([dd._spike_mass(rows[i:i + 1], ua[i:i + 1],
+                                         ub[i:i + 1])
+                          for i in range(len(rows))])
+    assert np.array_equal(batch, one)
+    dd.z                                # caches the whole-spike masses
+    assert np.array_equal(batch[~cut], dd._mass[rows[~cut]])
+
+
+def test_report_rows_match_one_q_calls(st1, dd1):
+    up = borel_cantelli_report(st1)
+    for row in up.per_q:
+        lo, hi, _count = _target_intervals(st1.profile, row["q"])
+        assert row["intervals"] == len(lo)
+        assert row["total_length"] == float((hi - lo).sum())
+        assert row["measured"] == measure_of_Aq(st1, row["q"],
+                                                evaluator=dd1)
+    # the stacked call is the same bits as one union at a time
+    qs = np.array([r["q"] for r in up.per_q[:40]])
+    lo, hi, n, _count = _target_unions(st1.profile, qs)
+    stacked = dd1.measure_of_intervals(lo, hi)
+    assert np.array_equal(stacked, [dd1.measure_of_intervals(
+        lo[t, :n[t]], hi[t, :n[t]]) for t in range(len(qs))])
 
 
 def test_interval_masses_direct_vs_series(st1, dd1):
