@@ -326,23 +326,27 @@ def _offset(x, q: int, theta: float):
     return pr, ((hi - pr) - theta) + lo
 
 
-def _comb_value(comb: _FactorComb, bump: BumpSpec, x: np.ndarray) -> np.ndarray:
-    """Exact factor density at the points x (vectorized).
-
-    Bumps have radius shrink * psi(q) / q < 1/(2q), so the nearest
-    integer p to x*q - theta is the only candidate residue; its offset
-    comes from ``_offset``.
+def _comb_hits(comb: _FactorComb, x, reach: float):
+    """Per member with psi > 0: index i, q, psi, and at the points x the
+    residue p and offset d of ``_offset`` and whether p is admissible with
+    |d| < reach * psi.  Bumps have radius shrink * psi(q)/q < 1/(2q), so
+    the nearest p is the only candidate at any reach up to the full radius.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
     for i in range(len(comb.qs)):
         q = int(comb.qs[i])
         psi = float(comb.psi[i])
         if psi <= 0.0:
             continue
         pr, d = _offset(x, q, float(comb.theta[i]))
-        active = comb.masks[i][pr.astype(np.int64) % q]
-        active &= np.abs(d) < bump.shrink * psi
+        p = pr.astype(np.int64) % q
+        yield i, q, psi, p, d, comb.masks[i][p] & (np.abs(d) < reach * psi)
+
+
+def _comb_value(comb: _FactorComb, bump: BumpSpec, x: np.ndarray) -> np.ndarray:
+    """Exact factor density at the points x (vectorized)."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for i, q, psi, _, d, active in _comb_hits(comb, x, bump.shrink):
         if active.any():
             out[active] += (bump.value(d[active] / psi)
                             * (q / psi) / float(comb.counts[i]))
@@ -351,15 +355,9 @@ def _comb_value(comb: _FactorComb, bump: BumpSpec, x: np.ndarray) -> np.ndarray:
 
 def _comb_witness(comb: _FactorComb, x: float) -> dict | None:
     """A pair (q, p) whose full-radius interval contains x, if any."""
-    for i in range(len(comb.qs)):
-        q = int(comb.qs[i])
-        psi = float(comb.psi[i])
-        if psi <= 0.0:
-            continue
-        pr, d = _offset(x, q, float(comb.theta[i]))
-        p = int(pr) % q
-        if comb.masks[i][p] and abs(d) < psi:
-            return {"scale": comb.scale, "q": q, "p": p,
+    for _, q, psi, p, d, hit in _comb_hits(comb, np.float64(x), 1.0):
+        if hit:
+            return {"scale": comb.scale, "q": q, "p": int(p),
                     "distance": float(abs(d)) / q, "radius": psi / q}
     return None
 

@@ -104,16 +104,34 @@ _J_LIMIT = 1 << 26
 class _Member:
     q: int
     rate: float                 # psi(q) / q
-    count: int                  # #I_q
     hits: tuple                 # (stride g, coef mu(lp)*g/#I_q, lp, p0)
     theta: tuple                # theta(q) as hi + lo, 26 significant bits each
-    sigma_divisors: tuple       # (d, sigma(d)) over divisors of q
 
 
-def _member_data(profile: ApproximationProfile, members: np.ndarray) -> list[_Member]:
+@dataclass(frozen=True)
+class _MemberTable:
+    """One bucket's member records and the arrays of its envelope tail.
+
+    The arrays run over the (member, divisor d of q) pairs, each q's
+    divisors ascending: ``row`` and ``col`` place a pair in a
+    member-by-divisor matrix; ``div``, ``sigma_d`` and ``rate_d`` hold d,
+    sigma(d) and rate*d.
+    """
+    members: tuple              # one _Member per q
+    counts: np.ndarray          # #I_q, as floats
+    sigma_q: np.ndarray         # sigma(q)
+    row: np.ndarray
+    col: np.ndarray
+    div: np.ndarray
+    sigma_d: np.ndarray
+    rate_d: np.ndarray
+
+
+def _member_data(profile: ApproximationProfile,
+                 members: np.ndarray) -> _MemberTable:
     psi = profile.psi_values(members)
-    data = []
-    for q_np, p in zip(members, psi):
+    records, counts, sigma_q, entries = [], [], [], []
+    for i, (q_np, p) in enumerate(zip(members, psi)):
         q = int(q_np)
         terms = divisor_hits(q, *profile.pair(q))
         n_i = sum(mu * g for _, g, mu, _ in terms)      # S(q, 0) = #I_q
@@ -122,15 +140,22 @@ def _member_data(profile: ApproximationProfile, members: np.ndarray) -> list[_Me
         hi = big - (big - theta)
         # frequency l = g*j carries phase e(-j*(theta + p0)/lp)
         hits = tuple((g, mu * g / n_i, lp, p0) for lp, g, mu, p0 in terms)
-        sig = tuple((d, divisor_sum(d)) for d in divisors(q))
-        data.append(_Member(q=q, rate=float(p) / q, count=n_i, hits=hits,
-                            theta=(hi, theta - hi), sigma_divisors=sig))
-    return data
+        records.append(_Member(q=q, rate=float(p) / q, hits=hits,
+                               theta=(hi, theta - hi)))
+        counts.append(n_i)
+        entries += [(i, k, d, divisor_sum(d))
+                    for k, d in enumerate(divisors(q))]
+        sigma_q.append(entries[-1][3])              # d = q comes last
+    row, col, div, sigma_d = np.array(entries, dtype=np.int64).reshape(-1, 4).T
+    rates = np.array([mem.rate for mem in records])[row]
+    return _MemberTable(tuple(records), np.array(counts, dtype=float),
+                        np.array(sigma_q, dtype=float), row, col, div,
+                        sigma_d, rates * div)
 
 
 def _bucket_data(profile: ApproximationProfile, eta: float,
                  scale: int) -> tuple:
-    """The bucket at one scale and its member tables; raises if it is empty."""
+    """The bucket at one scale and its member table; raises if it is empty."""
     bucket = profile.bucket(eta, scale)
     if bucket.count == 0:
         raise WindowExhaustedError(
@@ -170,12 +195,13 @@ def _tables(theta: tuple, lp: int, p0: int, step: float, a0: int, a1: int,
     return ang, np.cos(ang), np.sin(ang)
 
 
-def _line_segment(data: list[_Member], bump: BumpSpec, out: np.ndarray,
+def _line_segment(members: tuple, bump: BumpSpec, out: np.ndarray,
                   l_lo: int, l_hi: int, scratch: tuple) -> None:
     """Add the unnormalized coefficient sum over members for l in [l_lo, l_hi].
 
-    ``out`` holds the window's coefficients and ``scratch`` is one
-    ``_scratch``.  Per hit, the term at l = g*j, j = _BLOCK*a + b, is
+    ``members`` is a run of ``_Member`` records, ``out`` holds the
+    window's coefficients and ``scratch`` is one ``_scratch``.  Per hit,
+    the term at l = g*j, j = _BLOCK*a + b, is
     coef * e(-j*(theta + p0)/lp) * fhat(l*rate), both factors read off
     the hit's ``_tables``: the phase is coarse[a] * fine[b], and the
     kernel sinc(x)**m, x = x_a + x_b, takes sin(x) as
@@ -197,7 +223,7 @@ def _line_segment(data: list[_Member], bump: BumpSpec, out: np.ndarray,
     flat = [buf.reshape(-1) for buf in scratch]
     width = TWO_PI * bump.box_halfwidth
     bits = bin(bump.order)[3:]          # the bits after the leading one
-    for mem in data:
+    for mem in members:
         for g, coef, lp, p0 in mem.hits:
             j0 = -((-l_lo) // g)        # ceil(l_lo / g)
             j1 = l_hi // g
@@ -265,7 +291,7 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def assemble_line(data: list[_Member], bump: BumpSpec, l_lo: int,
+def assemble_line(data: _MemberTable, bump: BumpSpec, l_lo: int,
                   l_hi: int) -> np.ndarray:
     """Bucket-averaged coefficient line on the contiguous window [l_lo, l_hi].
 
@@ -285,7 +311,7 @@ def assemble_line(data: list[_Member], bump: BumpSpec, l_lo: int,
     """
     if l_hi < l_lo:
         raise ValueError("empty frequency window")
-    if not data:
+    if not data.members:
         raise ValueError("no members to average")
     from concurrent.futures import ThreadPoolExecutor
     n = l_hi - l_lo + 1
@@ -293,8 +319,8 @@ def assemble_line(data: list[_Member], bump: BumpSpec, l_lo: int,
     cpus = _cpu_count()
     parts = max(1, min(cpus, n // _MIN_SPAN))
     step = min(_CHUNK, -(-n // parts))
-    blocks = [data[i:i + _BLOCK_MEMBERS]
-              for i in range(0, len(data), _BLOCK_MEMBERS)]
+    blocks = [data.members[i:i + _BLOCK_MEMBERS]
+              for i in range(0, len(data.members), _BLOCK_MEMBERS)]
     # block-major, so every block 0 job, which writes straight into the
     # line, is folded before any later piece is added
     jobs = [(i, a) for i in range(len(blocks)) for a in range(0, n, step)]
@@ -327,7 +353,7 @@ def assemble_line(data: list[_Member], bump: BumpSpec, l_lo: int,
                 fold(*pending.pop(0))
         while pending:
             fold(*pending.pop(0))
-    line /= len(data)
+    line /= len(data.members)
     return line
 
 
@@ -340,38 +366,23 @@ def _mirror_half_line(half: np.ndarray) -> np.ndarray:
     return full
 
 
-def _tail_function(data: list[_Member], bump: BumpSpec):
-    """``envelope_tail(data, bump, .)`` with its member arrays built once.
-
-    The (member, divisor d) entries carry rate*d, sigma(d) and d.  Each
-    evaluation places their terms in a member-by-divisor matrix padded
-    with zeros, sums it column by column and then the members one after
-    another: the order of the scalar loop, so the values are the same
-    floats.
-    """
-    rows, cols, rate_d, sig, div = (np.array(c) for c in zip(*(
-        (i, k, mem.rate * d, s, d) for i, mem in enumerate(data)
-        for k, (d, s) in enumerate(mem.sigma_divisors))))
-    counts = np.array([mem.count for mem in data], dtype=float)
-    terms = np.zeros((len(data), cols.max() + 1))
-
-    def tail(half_bandwidth: int) -> float:
-        terms[rows, cols] = sig * bump.envelope_tail_sum(
-            rate_d, half_bandwidth // div)
-        per_q = np.add.accumulate(terms, axis=1)[:, -1]
-        total = np.add.accumulate(per_q / counts)[-1]
-        return 2.0 * float(total) / len(data)
-    return tail
-
-
-def envelope_tail(data: list[_Member], bump: BumpSpec, half_bandwidth: int) -> float:
+def envelope_tail(data: _MemberTable, bump: BumpSpec,
+                  half_bandwidth: int) -> float:
     """Certified l1 bound on the bucket average outside [-L, L].
 
     Uses |S(q, l)| <= sigma(gcd(q, l)) and groups frequencies by the
     divisor d | q they share with q, so each group is a lacunary
-    progression against the kernel envelope.
+    progression against the kernel envelope.  The (member, divisor)
+    terms are placed in a member-by-divisor matrix padded with zeros,
+    summed divisor after divisor and then member after member: the order
+    of the scalar loop, so the values are the same floats.
     """
-    return _tail_function(data, bump)(half_bandwidth)
+    terms = np.zeros((len(data.members), int(data.col.max()) + 1))
+    terms[data.row, data.col] = data.sigma_d * bump.envelope_tail_sum(
+        data.rate_d, half_bandwidth // data.div)
+    per_q = np.add.accumulate(terms, axis=1)[:, -1]
+    total = np.add.accumulate(per_q / data.counts)[-1]
+    return 2.0 * float(total) / len(data.members)
 
 
 def factor_tail_profiles(stage: MeasureStage) -> list[tuple]:
@@ -392,7 +403,7 @@ def factor_tail_profiles(stage: MeasureStage) -> list[tuple]:
 def certified_half_bandwidth(tail, tail_tol: float) -> int:
     """Smallest half-bandwidth L in [0, 2**40] with ``tail(L) <= tail_tol``.
 
-    ``tail`` (a ``_tail_function``, or the window's tail in
+    ``tail`` (a bucket's ``envelope_tail``, or the window's tail in
     ``h0_series``) does not increase with L, so one binary search finds
     that L whatever the caller's budget.  A tail that is still above the
     tolerance at 2**40 gives 2**40.
@@ -465,8 +476,8 @@ def gm_series(profile: ApproximationProfile, bump: BumpSpec, eta: float,
     bucket, data = _bucket_data(profile, eta, scale)
     budget_cap = (budget - 1) // 2
     cap = budget_cap if band_cap is None else min(band_cap, budget_cap)
-    tail = _tail_function(data, bump)
-    L = certified_half_bandwidth(tail, tail_tol)
+    L = certified_half_bandwidth(lambda L: envelope_tail(data, bump, L),
+                                 tail_tol)
     complete = L <= cap
     if not complete and band_cap is None:
         raise BandwidthBudgetError(2 * L + 1, budget,
@@ -477,7 +488,8 @@ def gm_series(profile: ApproximationProfile, bump: BumpSpec, eta: float,
     # the center coefficient is exactly 1 per member (S(q,0) = #I_q), so
     # write the exact mean rather than the per-divisor rounded sum
     coeffs[L] = 1.0
-    series = TruncatedFourierSeries(coeffs, tail_bound=tail(L))
+    series = TruncatedFourierSeries(coeffs,
+                                    tail_bound=envelope_tail(data, bump, L))
     return GmFactor(scale=scale, k=bucket.k, count=bucket.count,
                     mass=bucket.mass, series=series, complete=complete)
 
@@ -586,7 +598,7 @@ def stability_gap(profile: ApproximationProfile, bump: BumpSpec, eta: float,
     # lines themselves are cut at d_h
     w_max = float(weights.max())
     cur_l1 = periodic.sup_bound()
-    linf = float(np.mean([divisor_sum(m.q) / m.count for m in data]))
+    linf = float(np.mean(data.sigma_q / data.counts))
     rem = (2.0 * linf * cur_l1 * bump.window_tail_sum(d_h - 1)
            + cand_l1 * cur_l1 * float(bump.window_envelope(d_h))) * w_max
     return GapResult(value=float(weighted[i]), xi_argmax=float(xi_grid[i]),

@@ -161,9 +161,7 @@ class ApproximationProfile:
                             ("_theta", self.theta_table),
                             ("_pair", self.pair_table)):
             object.__setattr__(self, name, dict(table))
-        # bucket() results per (eta, scale) and _bucket_labels() per eta,
-        # also outside the fields
-        object.__setattr__(self, "_buckets", {})
+        # _bucket_labels() per eta, also outside the fields
         object.__setattr__(self, "_labels", {})
         object.__setattr__(self, "member_list",
                            tuple(sorted(int(q) for q in self.member_list)))
@@ -430,24 +428,15 @@ class ApproximationProfile:
         """Members q with (psi(q)/q)**eta in [1/(2M), 1/M), M = ``scale``.
 
         Boundary hits (u within one part in 1e12 of an integer) go to
-        the lower bucket, deterministically.  Each bucket is built once
-        per profile, here or by ``scale_set``, which hands over the
-        admissible ones, and cut from the ``_bucket_labels`` of its eta;
-        its member array is read-only.
+        the lower bucket, deterministically.  Every call cuts the bucket
+        from the ``_bucket_labels`` of its eta, which index the window
+        once per eta; the member array is read-only.
         """
         k = int(scale).bit_length() - 1
         if scale != 1 << k:
             raise ProfileError("scale must be a power of two")
         if not 0.0 < eta < 1.0:
             raise ProfileError("weight exponent eta must lie in (0, 1)")
-        found = self._buckets.get((eta, scale))
-        if found is None:
-            found = self._new_bucket(eta, k)
-            self._buckets[(eta, scale)] = found
-        return found
-
-    def _new_bucket(self, eta: float, k: int) -> "Bucket":
-        """The bucket at scale 2**k cut from the labels of eta, read-only."""
         members = self.q_min + np.flatnonzero(self._bucket_labels(eta) == k)
         members.flags.writeable = False
         psi = self.psi_values(members)
@@ -474,25 +463,21 @@ class ApproximationProfile:
 
         A scale M = 2**k qualifies when its bucket mass is at least
         1/k**2; it is admissible when it also is not window-limited.
-        Every bucket is cut from the ``_bucket_labels`` of eta, and the
-        admissible ones go to the ``bucket`` memo, so a profile indexes
-        the window once per eta.
+        Every bucket is cut from the ``_bucket_labels`` of eta, so a
+        profile indexes the window once per eta.
         """
         top = int(self._bucket_labels(eta).max(initial=0))
         if k_max is not None:
             top = max(top, int(k_max))
         entries = []
         for k in range(1, top + 1):
-            b = self._new_bucket(eta, k)
             M = 1 << k
-            entry = ScaleEntry(
+            b = self.bucket(eta, M)
+            entries.append(ScaleEntry(
                 k=k, scale=M, count=b.count, mass=b.mass,
                 qualifies=bool(b.mass >= 1.0 / k**2),
                 window_limited=b.window_limited,
-                size_ratio=b.count / (M / math.log(M) ** 2))
-            if entry.qualifies and not entry.window_limited:
-                self._buckets.setdefault((eta, M), b)
-            entries.append(entry)
+                size_ratio=b.count / (M / math.log(M) ** 2)))
         return ScaleSet(eta=eta, entries=tuple(entries))
 
 

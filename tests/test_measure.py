@@ -25,8 +25,8 @@ from dfourier import (
     gm_series,
     power_law_profile,
 )
-from dfourier import measure
-from dfourier.arith import residue_set
+from dfourier import analyze, measure
+from dfourier.arith import divisor_sum, divisors, residue_set
 from dfourier.measure import _member_data, assemble_line, stability_gap
 
 BUMP = BumpSpec()
@@ -96,7 +96,8 @@ def test_empty_bucket_is_window_exhaustion():
 
 def test_assemble_line_rejects_an_empty_member_list():
     with pytest.raises(ValueError, match="no members"):
-        assemble_line([], BUMP, 0, 3)
+        assemble_line(_member_data(power_law_profile(2.0, 50, q_min=2),
+                                   np.zeros(0, dtype=np.int64)), BUMP, 0, 3)
 
 
 def test_uncapped_band_overflow_reports_true_need(reference_profile):
@@ -122,7 +123,9 @@ def test_band_search_is_the_least_certified_band(reference_profile):
     capped factor records the tail at its cap."""
     data = _member_data(reference_profile,
                         reference_profile.bucket(ETA, 4).members)
-    tail = measure._tail_function(data, BUMP)
+
+    def tail(L):
+        return measure.envelope_tail(data, BUMP, L)
     assert measure.certified_half_bandwidth(tail, 1e-8) == 15360
     assert tail(15359) > 1e-8 >= tail(15360)
     fac = gm_series(reference_profile, BUMP, ETA, 4, 1e-8, 1 << 20,
@@ -216,7 +219,7 @@ def test_assemble_line_shifted_pairs_match_exact_phase_oracle():
                                 pair_table={q: (1, 1) for q in range(2, 60)})
     members = prof.bucket(ETA, 16).members
     data = _member_data(prof, members)
-    assert sum(bool(hit[3]) for mem in data for hit in mem.hits) > 50
+    assert sum(bool(hit[3]) for mem in data.members for hit in mem.hits) > 50
     ls = (82984, 85008)
     line = assemble_line(data, BUMP, min(ls), max(ls))
     for l in ls:
@@ -255,13 +258,13 @@ def test_assemble_line_center_is_the_mean_coefficient(reference_profile,
     # divided by the member count: the regime fixture's raw center
     data = _member_data(reference_profile,
                         reference_profile.bucket(ETA, scale).members)
-    assert len(data) <= measure._BLOCK_MEMBERS
+    assert len(data.members) <= measure._BLOCK_MEMBERS
     total = 0.0
-    for mem in data:
+    for mem in data.members:
         for hit in mem.hits:
             total += hit[1]
     got = assemble_line(data, BUMP, 0, 0)
-    assert got[0].real == total / len(data) and got[0].imag == 0.0
+    assert got[0].real == total / len(data.members) and got[0].imag == 0.0
 
 
 def _cpus(monkeypatch, n):
@@ -342,15 +345,16 @@ def _block_fold(data, lo, hi):
     n = hi - lo + 1
     step = measure._CHUNK
     line = np.zeros(n, dtype=complex)
-    for i in range(0, len(data), measure._BLOCK_MEMBERS):
+    members = data.members
+    for i in range(0, len(members), measure._BLOCK_MEMBERS):
         part = np.zeros(n, dtype=complex)
         scratch = measure._scratch()
         for a in range(0, n, step):
-            measure._line_segment(data[i:i + measure._BLOCK_MEMBERS], BUMP,
+            measure._line_segment(members[i:i + measure._BLOCK_MEMBERS], BUMP,
                                   part[a:a + step], lo + a,
                                   min(lo + a + step - 1, hi), scratch)
         line = part if i == 0 else line + part
-    return line / len(data)
+    return line / len(members)
 
 
 @pytest.mark.parametrize("scale, lo, hi, chunk, min_span", [
@@ -362,7 +366,7 @@ def test_assemble_line_blocks_are_cpu_count_invariant(
         reference_profile, monkeypatch, scale, lo, hi, chunk, min_span):
     data = _member_data(reference_profile,
                         reference_profile.bucket(ETA, scale).members)
-    assert len(data) > measure._BLOCK_MEMBERS
+    assert len(data.members) > measure._BLOCK_MEMBERS
     want = _block_fold(data, lo, hi)
     for name, value in (("_CHUNK", chunk), ("_MIN_SPAN", min_span)):
         if value is not None:
@@ -383,10 +387,11 @@ def test_assemble_line_fold_order_survives_a_late_block_zero(
     finished, inner = [], measure._line_segment
 
     def segment(block, *args):
-        if block[0] is data[0]:
+        if block[0] is data.members[0]:
             time.sleep(0.5)
         inner(block, *args)
-        finished.append(data.index(block[0]) // measure._BLOCK_MEMBERS)
+        finished.append(data.members.index(block[0])
+                        // measure._BLOCK_MEMBERS)
     monkeypatch.setattr(measure, "_line_segment", segment)
     _cpus(monkeypatch, 4)
     interval = sys.getswitchinterval()
@@ -405,12 +410,12 @@ def test_assemble_line_bounds_the_pending_jobs(reference_profile,
     # 2 * workers jobs are pending, so no further later block starts
     data = _member_data(reference_profile,
                         reference_profile.bucket(ETA, 256).members)
-    assert len(data) > 17 * measure._BLOCK_MEMBERS
+    assert len(data.members) > 17 * measure._BLOCK_MEMBERS
     want = _block_fold(data, 0, 80960)
     events, inner = [], measure._line_segment
 
     def segment(block, *args):
-        if block[0] is data[0]:
+        if block[0] is data.members[0]:
             time.sleep(0.5)
             inner(block, *args)
             events.append("block 0 done")
@@ -461,11 +466,12 @@ def test_assemble_line_one_block_is_one_serial_pass(reference_profile,
     # a bucket of at most _BLOCK_MEMBERS members sums as it always did
     data = _member_data(reference_profile,
                         reference_profile.bucket(ETA, 16).members)
-    assert len(data) == 26
+    assert len(data.members) == 26
     n = 80961
     want = np.zeros(n, dtype=complex)
-    measure._line_segment(data, BUMP, want, 0, n - 1, measure._scratch())
-    want /= len(data)
+    measure._line_segment(data.members, BUMP, want, 0, n - 1,
+                          measure._scratch())
+    want /= len(data.members)
     for cpus in (1, 2):
         _cpus(monkeypatch, cpus)
         assert np.array_equal(assemble_line(data, BUMP, 0, n - 1), want)
@@ -524,25 +530,45 @@ def _scalar_tail_sum(bump, rate, start):
     return max(0, flat_top - start) + (x0**m) * float(t0) ** (1 - m) / (m - 1)
 
 
-def _scalar_envelope_tail(data, bump, half_bandwidth):
-    """envelope_tail as the per-(member, divisor) loop of scalar sums."""
+def _scalar_envelope_tail(prof, members, bump, half_bandwidth):
+    """envelope_tail as the per-(member, divisor) loop of scalar sums, with
+    sigma(d) from the divisor list and #I_q from the residue set."""
     total = 0.0
-    for mem in data:
+    for q, psi in zip(members.tolist(), prof.psi_values(members).tolist()):
         per_q = 0.0
-        for d, sig in mem.sigma_divisors:
-            per_q += sig * _scalar_tail_sum(bump, mem.rate * d,
-                                            half_bandwidth // d)
-        total += per_q / mem.count
-    return 2.0 * total / len(data)
+        for d in divisors(q):
+            per_q += divisor_sum(d) * _scalar_tail_sum(
+                bump, psi / q * d, half_bandwidth // d)
+        total += per_q / residue_set(q, *prof.pair(q)).count
+    return 2.0 * total / len(members)
 
 
 @pytest.mark.parametrize("scale", [4, 64, 256])
 def test_envelope_tail_equals_scalar_formula(reference_profile, scale):
-    data = _member_data(reference_profile,
-                        reference_profile.bucket(ETA, scale).members)
+    members = reference_profile.bucket(ETA, scale).members
+    data = _member_data(reference_profile, members)
     for L in (0, 1, 57, 15360, 1 << 16, 1 << 20, 1 << 30, 37275912996):
         assert (measure.envelope_tail(data, BUMP, L)
-                == _scalar_envelope_tail(data, BUMP, L)), L
+                == _scalar_envelope_tail(reference_profile, members, BUMP,
+                                         L)), L
+
+
+def test_envelope_tail_is_the_one_bucket_tail(reference_profile, monkeypatch):
+    # every tail of a bucket factor, from the band searches, the recorded
+    # tails and the certified floor, goes through envelope_tail; the
+    # window's tails take scalar rates and are left out
+    callers = []
+    inner = BumpSpec.envelope_tail_sum
+
+    def tail_sum(self, rate, start):
+        if np.ndim(rate):
+            callers.append(sys._getframe(1).f_code.co_name)
+        return inner(self, rate, start)
+    monkeypatch.setattr(BumpSpec, "envelope_tail_sum", tail_sum)
+    stage = build_measure(reference_profile, eta=ETA, eps=EPS, stages=1)
+    analyze.pointwise_error_bound(stage)
+    assert len(callers) > 40
+    assert set(callers) == {"envelope_tail"}
 
 
 def test_envelope_tail_sum_arrays_equal_scalar_formula():
