@@ -19,14 +19,17 @@ mod lp in integers), one complex product per term.  The kernel's sine
 comes off the same split, sin(x_a + x_b) from the cosines and sines of
 the two table angles, so a term calls no trigonometric function, and
 each hit walks its terms in runs of table rows whose buffers stay in
-the L2 cache.  Every term depends on j alone, so a line is cut once
-into contiguous pieces, up to one per available CPU, and the bucket
-into fixed blocks of members whose partial lines are added in block
-order; the (block, piece) jobs run on threads (numpy releases the GIL
-in its loops).  Blocks split the hits, so no hit's fixed cost is paid
-twice, which is what makes the short gap-probe lines worth running on
-several CPUs.  The coefficients are the same bits whatever the CPU
-count or the run length.
+the L2 cache.  The rows are 4096 columns wide because numpy buffers a
+row-by-column broadcast whose rows are shorter.  A hit adds its terms
+into separate real and imaginary planes, at its stride g rather than
+2g, and the planes become the complex line once per call.  Every term
+depends on j alone, so a line is cut once into contiguous pieces, up
+to one per available CPU, and the bucket into fixed blocks of members
+whose partial lines are added in block order; the (block, piece) jobs
+run on threads (numpy releases the GIL in its loops).  Blocks split the
+hits, so no hit's fixed cost is paid twice, which is what makes the
+short gap-probe lines worth running on several CPUs.  The coefficients
+are the same bits whatever the CPU count or the run length.
 
 Scale selection walks the admissible dyadic scales and accepts the first
 candidate whose stability gap (the weighted sup of the perturbation the
@@ -59,21 +62,22 @@ _ARTIFACT_MAGIC = b"DFMS"
 _ARTIFACT_VERSION = 2
 
 # assemble_line cuts a half-line into one piece per available CPU, none
-# shorter than _MIN_SPAN frequencies.  On 2 vCPUs, two pieces of a window
-# below 2**17 frequencies mostly ran slower than one (0.8 to 1.3 times
-# the serial time at M = 4 to 256): each piece pays every hit's fixed
-# cost (its tables, about 90 us) again, and the threads keep
-# trading the GIL between short numpy calls.  From 2**17 on they took
-# 0.5 to 0.8 times.  Such short lines get their threads from member
-# blocks instead.
-_MIN_SPAN = 1 << 16
+# shorter than _MIN_SPAN frequencies.  Each piece pays every hit's fixed
+# cost (its tables, 240 to 270 us for a full-width one) again, and the
+# threads trade the GIL between short numpy calls.  On 2 vCPUs, two
+# pieces of a one-block line (M = 8, 16) took 1.18 and 0.98 times the
+# one-piece time at 2**17 frequencies, 0.80 and 0.79 at 2**18, 0.81 and
+# 0.74 at 2**19 (medians of 5); at M = 4 and at M = 64, whose member
+# blocks already share the CPUs, two pieces were slower up to 2**19.
+# So a line is cut only from 2 * _MIN_SPAN = 2**18 frequencies on.
+_MIN_SPAN = 1 << 17
 # assemble_line sums the members in contiguous blocks of this many, one
 # job per (block, piece) pair, and adds each later block's piece to the
 # result in block order.  Blocks split the hits themselves, so no hit's
 # fixed cost is paid twice; a bucket of at most this many members is one
 # block and sums as one serial pass.  On 2 vCPUs the four 80,961-long
-# probe lines M = 32 to 256 took a median 1.56 s against 2.42 s on one
-# CPU; blocks of 16 and 64 were within the noise (1.60 and 1.51 s), and
+# probe lines M = 32 to 256 took a median 1.38 s against 1.59 s on one
+# CPU; blocks of 16 and 64 were within the noise (1.29 and 1.35 s), and
 # 64 would leave the 54-member M = 32 line on one CPU.  The coefficients
 # depend on this length, so it is a constant, not an option.
 _BLOCK_MEMBERS = 32
@@ -83,15 +87,22 @@ _BLOCK_MEMBERS = 32
 _CHUNK = 1 << 20
 
 # phase and kernel tables: j = _BLOCK*a + b, so e(-j*phase) is
-# coarse[a] * fine[b], and the kernel's sine comes from the same split
-_BLOCK = 1024
+# coarse[a] * fine[b], and the kernel's sine comes from the same split.
+# Rows of 4096 columns: numpy (2.4) buffers a row-by-column broadcast
+# whose rows are shorter, so on 2 vCPUs a 32 x 1024 product took 34 to
+# 53 us and an 8 x 4096 one 10 to 15 us.  The 1,844,385-long M = 16
+# line took a median 0.67 s at 1024 columns in runs of 32 rows, 0.40 s
+# at 4096 in runs of 16, and 0.48 s at 8192 in runs of 4.
+_BLOCK = 4096
 _FINE = np.arange(_BLOCK, dtype=np.float64)
 # a hit walks its terms in runs of this many table rows, so the per-term
-# passes of a run work on four buffers of 256 kB each, which stay in a
-# 2 MB L2 cache.  On 2 vCPUs the 1,844,385-long M = 16 line took a median
-# 1.12, 0.75, 0.67, 0.66 and 0.67 s at 8, 16, 32, 64 and 128 rows, and
-# 1.15 s with piece-long buffers.  The coefficients do not depend on it.
-_RUN_ROWS = 32
+# passes of a run work on four buffers of 512 kB each, which fill the
+# 2 MB per-core L2 cache of the 2-vCPU Xeon these timings come from.
+# On 2 vCPUs the M = 16 line took a median 0.63, 0.45, 0.40 and 0.43 s
+# at 4, 8, 16 and 32 rows, and the M = 4, 8, 16 regime lines 0.45 s at
+# 8 rows against 0.39 s at 16 (16 faster in 10 of 12 alternating
+# rounds).  The coefficients do not depend on it.
+_RUN_ROWS = 16
 # below this, theta_hi*j is an exact product and |theta_lo*j| < 1/2
 _J_LIMIT = 1 << 26
 
@@ -163,6 +174,31 @@ def _bucket_data(profile: ApproximationProfile, eta: float,
     return bucket, _member_data(profile, bucket.members)
 
 
+def _fmod_product(theta_hi: float, jf: np.ndarray, lp: int,
+                  out: np.ndarray) -> np.ndarray:
+    """``np.fmod(theta_hi * jf, lp)`` bit for bit, into ``out``.
+
+    For theta_hi of at most 26 significant bits, |theta_hi| < 1, whole
+    jf in [0, 2**26) and an integer lp >= 1.  Then x = |theta_hi| * jf
+    is exact, with at most 52 significant bits on a grid of 2**-e,
+    e >= 0, so x < 2**52 * 2**-e.  k = trunc(x / lp) is the true
+    quotient: x / lp could round up to an integer k only if
+    0 < k*lp - x <= k*lp * 2**-53, which is below the grid step 2**-e.
+    So k*lp and x - k*lp are exact, and no fix-up is needed.  fmod
+    takes the sign of theta_hi * jf, so the remainder is negated for a
+    negative theta_hi.  About 14 us on 4,116 entries, where ``np.fmod``
+    took 27 to 132 us (the most at lp = 3).
+    """
+    x = np.multiply(abs(theta_hi), jf, out=out)
+    k = np.divide(x, lp)
+    np.trunc(k, out=k)
+    k *= lp
+    x -= k
+    if math.copysign(1.0, theta_hi) < 0:
+        np.negative(x, out=x)
+    return x
+
+
 def _tables(theta: tuple, lp: int, p0: int, step: float, a0: int, a1: int,
             f_lo: int, f_hi: int) -> tuple:
     """Angles, cosines and sines of one hit's coarse rows and fine columns.
@@ -170,19 +206,20 @@ def _tables(theta: tuple, lp: int, p0: int, step: float, a0: int, a1: int,
     The entries run over j = _BLOCK*a, a in [a0, a1], then j in
     [f_lo, f_hi), twice: first the phase angles of e(-j*(theta + p0)/lp),
     then the kernel angles j*step.  The phase arguments are reduced
-    exactly: theta_hi*j is an exact product for j < 2**26 and its
-    remainder mod lp is exact, p0*j mod lp is taken in integers, and
-    |theta_lo*j| < 1/2 needs no reduction; only the sum and the division
-    by lp round.  The kernel angle at j = 0 is 1e-300, so that sin(x)/x
-    is exactly 1 there.  One ``np.cos`` and one ``np.sin`` serve all four
-    tables.
+    exactly: theta_hi*j is an exact product for j < 2**26 and
+    ``_fmod_product`` takes its remainder mod lp exactly, p0*j mod lp is
+    taken in integers, and |theta_lo*j| < 1/2 needs no reduction; only
+    the sum and the division by lp round.  The kernel angle at j = 0 is
+    1e-300, so that sin(x)/x is exactly 1 there.  One ``np.cos`` and one
+    ``np.sin`` serve all four tables: a hit over whole rows makes
+    2 * (rows + 4096) entries, which took 240 to 270 us on 2 vCPUs.
     """
     jf = np.concatenate((np.arange(a0 * _BLOCK, (a1 + 1) * _BLOCK, _BLOCK,
                                    dtype=np.float64), _FINE[f_lo:f_hi]))
     m = len(jf)
     ang = np.empty(2 * m)
     t, x = ang[:m], ang[m:]
-    np.fmod(np.multiply(theta[0], jf, out=t), lp, out=t)
+    _fmod_product(theta[0], jf, lp, t)
     if p0:
         t += (p0 * jf.astype(np.int64)) % lp
     t += np.multiply(theta[1], jf, out=x)
@@ -199,8 +236,9 @@ def _line_segment(members: tuple, bump: BumpSpec, out: np.ndarray,
                   l_lo: int, l_hi: int, scratch: tuple) -> None:
     """Add the unnormalized coefficient sum over members for l in [l_lo, l_hi].
 
-    ``members`` is a run of ``_Member`` records, ``out`` holds the
-    window's coefficients and ``scratch`` is one ``_scratch``.  Per hit,
+    ``members`` is a run of ``_Member`` records, ``out`` holds the real
+    and imaginary planes of the window's coefficients, shape
+    (2, l_hi - l_lo + 1), and ``scratch`` is one ``_scratch``.  Per hit,
     the term at l = g*j, j = _BLOCK*a + b, is
     coef * e(-j*(theta + p0)/lp) * fhat(l*rate), both factors read off
     the hit's ``_tables``: the phase is coarse[a] * fine[b], and the
@@ -212,12 +250,13 @@ def _line_segment(members: tuple, bump: BumpSpec, out: np.ndarray,
     walked in runs of ``_RUN_ROWS`` table rows: the row-by-column
     products fill a run's rectangle, and every other pass works on the
     run's terms inside the window, in buffers that stay in the L2 cache.
+    A hit adds its real and imaginary parts into their own planes, at
+    stride g: the same adds as into a complex line, on half the stride.
     Runs on worker threads, so it calls nothing that the benchmark's
     tracer wraps (``ApproximationProfile.bucket``, ``BumpSpec.fourier``,
     ``BumpSpec.value``, ``residue_set``): its span stack is not
     thread-local.
     """
-    out_f = out.view(np.float64)
     # a run is whole rows of _BLOCK columns or part of one row, so its
     # rectangle and the flat buffer put every term in the same place
     flat = [buf.reshape(-1) for buf in scratch]
@@ -268,17 +307,17 @@ def _line_segment(members: tuple, bump: BumpSpec, out: np.ndarray,
                 np.multiply(c_re[r:r1, None], f_im, out=im)
                 np.multiply(c_im[r:r1, None], f_re, out=tmp)
                 np.add(iv, tv, out=iv)
-                start = 2 * (g * (j0 + lo - first) - l_lo)
-                for vals, pos in ((rv, start), (iv, start + 1)):
-                    out_f[pos::2 * g][:hi - lo] += np.multiply(vals, kv,
-                                                               out=vals)
+                start = g * (j0 + lo - first) - l_lo
+                for vals, plane in zip((rv, iv), out):
+                    plane[start::g][:hi - lo] += np.multiply(vals, kv,
+                                                             out=vals)
 
 
 def _scratch() -> tuple:
     """One worker's buffers (kern, tmp, re, im) for one run of a hit.
 
-    Each holds ``_RUN_ROWS`` table rows of ``_BLOCK`` floats, whatever
-    the length of the piece.
+    Each holds ``_RUN_ROWS`` table rows of ``_BLOCK`` floats, 512 kB
+    whatever the length of the piece.
     """
     return tuple(np.empty((_RUN_ROWS, _BLOCK)) for _ in range(4))
 
@@ -300,14 +339,16 @@ def assemble_line(data: _MemberTable, bump: BumpSpec, l_lo: int,
     shorter than ``_MIN_SPAN`` or longer than ``_CHUNK``, and the members
     into contiguous blocks of ``_BLOCK_MEMBERS``.  Each (block, piece)
     pair is one job, submitted block by block to one thread per CPU.
-    Block 0 adds straight into the line; every later block sums into its
-    own zeroed piece.  The calling thread folds the jobs in submission
-    order, each later piece added to the line, and folds the oldest one
-    whenever ``2 * workers`` jobs are pending, so no more later pieces
-    than that are alive.  Every term depends on j alone, so each
-    coefficient's bits depend on the block length only: not on the CPU
-    count, the run length, the order in which jobs finish, or where a
-    piece ends.
+    The sums run on separate real and imaginary planes.  Block 0 adds
+    straight into them; every later block sums into its own zeroed
+    pair of pieces.  The calling thread folds the jobs in submission
+    order, each later piece added to the planes, and folds the oldest
+    one whenever ``2 * workers`` jobs are pending, so no more later
+    pieces than that are alive.  The planes become the complex line
+    once, which is then divided by the member count.  Every term depends
+    on j alone, so each coefficient's bits depend on the block length
+    only: not on the CPU count, the run length, the order in which jobs
+    finish, or where a piece ends.
     """
     if l_hi < l_lo:
         raise ValueError("empty frequency window")
@@ -315,14 +356,14 @@ def assemble_line(data: _MemberTable, bump: BumpSpec, l_lo: int,
         raise ValueError("no members to average")
     from concurrent.futures import ThreadPoolExecutor
     n = l_hi - l_lo + 1
-    line = np.zeros(n, dtype=np.complex128)
+    planes = np.zeros((2, n))
     cpus = _cpu_count()
     parts = max(1, min(cpus, n // _MIN_SPAN))
     step = min(_CHUNK, -(-n // parts))
     blocks = [data.members[i:i + _BLOCK_MEMBERS]
               for i in range(0, len(data.members), _BLOCK_MEMBERS)]
     # block-major, so every block 0 job, which writes straight into the
-    # line, is folded before any later piece is added
+    # planes, is folded before any later piece is added
     jobs = [(i, a) for i in range(len(blocks)) for a in range(0, n, step)]
     workers = min(cpus, len(jobs))
     # the scratch and the later pieces are allocated here: worker threads
@@ -340,19 +381,21 @@ def assemble_line(data: _MemberTable, bump: BumpSpec, l_lo: int,
     def fold(future, i, a, out):
         future.result()
         if i:
-            line[a:a + len(out)] += out
+            planes[:, a:a + out.shape[1]] += out
 
     pending = []
     with ThreadPoolExecutor(workers) as pool:
         for i, a in jobs:
             b = min(a + step, n)
-            out = line[a:b] if i == 0 else np.zeros(b - a, np.complex128)
+            out = planes[:, a:b] if i == 0 else np.zeros((2, b - a))
             pending.append((pool.submit(run, blocks[i], out, l_lo + a,
                                         l_lo + b - 1), i, a, out))
             if len(pending) == 2 * workers:
                 fold(*pending.pop(0))
         while pending:
             fold(*pending.pop(0))
+    line = np.empty(n, dtype=np.complex128)
+    line.real, line.imag = planes
     line /= len(data.members)
     return line
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dfourier import (
     ApproximationProfile,
@@ -182,13 +182,18 @@ def _oracle_coefficient(prof, members, l, bump=BUMP):
                                        (64, (10033, 40663, 80960)),
                                        (16, (499980, 500000, 500040)),
                                        (16, (1499970, 1500000)),
-                                       (16, (1843800, 1844000, 1844040))])
+                                       (16, (1843800, 1844000, 1844040)),
+                                       (16, (4095, 4096, 4097, 8191, 8192)),
+                                       (16, (8190, 8192, 8194, 16382,
+                                             16384))])
 def test_assemble_line_matches_exact_phase_oracle(reference_profile, scale,
                                                   ls):
     # frequencies where rounding shift*j before reducing it cost the most
     # (up to 2.1e-14 off); exactly reduced phases stay below 1e-16.  The
     # M=16 points out to its band edge put the kernel's table sine at
-    # arguments in the tens to hundreds
+    # arguments in the tens to hundreds.  The last two rows sit at the
+    # coarse-row edges j = 4095, 4096, 4097, 8191 and 8192 of the stride
+    # g = 1 hits (l = j) and of the g = 2 hits (l = 2*j)
     prof = reference_profile
     members = prof.bucket(ETA, scale).members
     data = _member_data(prof, members)
@@ -225,6 +230,25 @@ def test_assemble_line_shifted_pairs_match_exact_phase_oracle():
     for l in ls:
         want = _oracle_coefficient(prof, members, l)
         assert abs(line[l - min(ls)] - want) <= 1e-15, l
+
+
+@example(theta=-0.5, lp=1, js=[0, 2, 3])      # zero remainders, negative
+@example(theta=-0.0, lp=7, js=[0, 5])
+@example(theta=0.5, lp=3, js=[0, 6, 7, (1 << 26) - 1])
+@given(st.floats(min_value=-1.0, max_value=1.0, exclude_min=True,
+                 exclude_max=True),
+       st.integers(min_value=1, max_value=10**6),
+       st.lists(st.integers(min_value=0, max_value=(1 << 26) - 1),
+                min_size=1, max_size=64))
+def test_fmod_product_is_fmod_bit_for_bit(theta, lp, js):
+    # the phase tables' exact reduction of theta_hi*j mod lp, against
+    # np.fmod, signs of zero included
+    big = 134217729.0 * theta
+    hi = big - (big - theta)
+    jf = np.array(js, dtype=np.float64)
+    want = np.fmod(hi * jf, lp)
+    got = measure._fmod_product(hi, jf, lp, np.empty_like(jf))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("scale", [4, 8])
@@ -284,7 +308,7 @@ def _record_pieces(monkeypatch):
 
 
 @pytest.mark.parametrize("lo, hi, chunk, min_span", [
-    (1500, 200000, None, None),     # mid-block start, real span lengths
+    (1500, 400000, None, None),     # mid-block start, real span lengths
     (1500, 200000, 40000, None),    # chunks shorter than a span
     (77, 77, None, 1),              # one term
     (1500, 1510, 2, 1),             # chunks shorter than the CPU count
@@ -331,7 +355,7 @@ def test_assemble_line_spans_call_no_traced_function(reference_profile,
     _cpus(monkeypatch, 2)
     threading.setprofile(profiler)
     try:
-        assemble_line(data, BUMP, 0, 160000)
+        assemble_line(data, BUMP, 0, 300000)
     finally:
         threading.setprofile(None)
     assert {"_line_segment"} <= called
@@ -344,17 +368,17 @@ def _block_fold(data, lo, hi):
     added in order."""
     n = hi - lo + 1
     step = measure._CHUNK
-    line = np.zeros(n, dtype=complex)
+    planes = np.zeros((2, n))
     members = data.members
     for i in range(0, len(members), measure._BLOCK_MEMBERS):
-        part = np.zeros(n, dtype=complex)
+        part = np.zeros((2, n))
         scratch = measure._scratch()
         for a in range(0, n, step):
             measure._line_segment(members[i:i + measure._BLOCK_MEMBERS], BUMP,
-                                  part[a:a + step], lo + a,
+                                  part[:, a:a + step], lo + a,
                                   min(lo + a + step - 1, hi), scratch)
-        line = part if i == 0 else line + part
-    return line / len(members)
+        planes = part if i == 0 else planes + part
+    return (planes[0] + 1j * planes[1]) / len(members)
 
 
 @pytest.mark.parametrize("scale, lo, hi, chunk, min_span", [
@@ -468,9 +492,10 @@ def test_assemble_line_one_block_is_one_serial_pass(reference_profile,
                         reference_profile.bucket(ETA, 16).members)
     assert len(data.members) == 26
     n = 80961
-    want = np.zeros(n, dtype=complex)
-    measure._line_segment(data.members, BUMP, want, 0, n - 1,
+    planes = np.zeros((2, n))
+    measure._line_segment(data.members, BUMP, planes, 0, n - 1,
                           measure._scratch())
+    want = planes[0] + 1j * planes[1]
     want /= len(data.members)
     for cpus in (1, 2):
         _cpus(monkeypatch, cpus)
