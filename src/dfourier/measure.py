@@ -9,27 +9,35 @@ at width psi(q)/q.  In frequency space each Phi_q contributes
 
     c_q(l) = (1/#I_q) * e(-l*theta/q) * S(q, l) * fhat(l*psi(q)/q),
 
-so a factor is assembled divisor by divisor: the divisor-sum form of
-S(q, .) touches only frequencies that are multiples of q/lp, which keeps
-the cost proportional to the number of nonzero hits rather than to the
-band width times the bucket size.  Along one hit, l = g*j carries the
-phase e(-j*(theta + p0)/lp); it is read off two short tables whose
-arguments are reduced exactly (theta split in two 26-bit halves, p0*j
-mod lp in integers), one complex product per term.  The kernel's sine
-comes off the same split, sin(x_a + x_b) from the cosines and sines of
-the two table angles, so a term calls no trigonometric function, and
-each hit walks its terms in runs of table rows whose buffers stay in
-the L2 cache.  The rows are 4096 columns wide because numpy buffers a
-row-by-column broadcast whose rows are shorter.  A hit adds its terms
-into separate real and imaginary planes, at its stride g rather than
-2g, and the planes become the complex line once per call.  Every term
-depends on j alone, so a line is cut once into contiguous pieces, up
-to one per available CPU, and the bucket into fixed blocks of members
-whose partial lines are added in block order; the (block, piece) jobs
-run on threads (numpy releases the GIL in its loops).  Blocks split the
-hits, so no hit's fixed cost is paid twice, which is what makes the
-short gap-probe lines worth running on several CPUs.  The coefficients
-are the same bits whatever the CPU count or the run length.
+so a factor is assembled member by member.  The divisor-sum form of
+S(q, .) is nonzero only on multiples of the member's least hit stride
+g_min = q/lp_max, lp_max the largest squarefree divisor of q coprime to
+B_q, which keeps the cost proportional to the nonzero terms rather than
+to the band width times the bucket size.  Every hit's lp divides lp_max
+and its residue p0 is p0_max mod lp, so at l = g_min*j the hits share
+one twist: S(q, l) = e(-j*p0_max/lp_max) times the real sum of the
+weights mu(lp)*g of the hits whose stride g divides l.  Along the
+member's line, l = g_min*j thus carries the phase
+e(-j*(theta + p0_max)/lp_max) and the kernel fhat(l*psi(q)/q), both
+read off one pair of short tables whose arguments are reduced exactly
+(theta split in two 26-bit halves, p0_max*j mod lp_max in integers),
+and the divisor hits only add their weights to the real sum, each at
+its own stride.  The kernel's sine comes off the same split as the
+phase, sin(x_a + x_b) from the cosines and sines of the two table
+angles, so a term calls no trigonometric function, and each member
+walks its terms in runs of table rows whose buffers stay in the L2
+cache.  The rows are 4096 columns wide because numpy buffers a
+row-by-column broadcast whose rows are shorter.  A member adds its
+terms into separate real and imaginary planes, at its stride g_min
+rather than 2*g_min, and the planes become the complex line once per
+call.  Every term depends on j alone, so a line is cut once into
+contiguous pieces, up to one per available CPU, and the bucket into
+fixed blocks of members whose partial lines are added in block order;
+the (block, piece) jobs run on threads (numpy releases the GIL in its
+loops).  Blocks split the members, so no member's tables are built
+twice in one piece, which is what makes the short gap-probe lines worth
+running on several CPUs.  The coefficients are the same bits whatever
+the CPU count or the run length.
 
 Scale selection walks the admissible dyadic scales and accepts the first
 candidate whose stability gap (the weighted sup of the perturbation the
@@ -62,24 +70,29 @@ _ARTIFACT_MAGIC = b"DFMS"
 _ARTIFACT_VERSION = 2
 
 # assemble_line cuts a half-line into one piece per available CPU, none
-# shorter than _MIN_SPAN frequencies.  Each piece pays every hit's fixed
-# cost (its tables, 240 to 270 us for a full-width one) again, and the
-# threads trade the GIL between short numpy calls.  On 2 vCPUs, two
-# pieces of a one-block line (M = 8, 16) took 1.18 and 0.98 times the
-# one-piece time at 2**17 frequencies, 0.80 and 0.79 at 2**18, 0.81 and
-# 0.74 at 2**19 (medians of 5); at M = 4 and at M = 64, whose member
-# blocks already share the CPUs, two pieces were slower up to 2**19.
-# So a line is cut only from 2 * _MIN_SPAN = 2**18 frequencies on.
+# shorter than _MIN_SPAN frequencies.  Each piece pays every member's
+# tables again (215 to 220 us for a full-width set on 2 vCPUs), and the
+# threads trade the GIL between short numpy calls.  On 2 vCPUs, with one
+# table set per member, two pieces of a one-block line took 1.16, 1.09
+# and 1.01 times the one-piece time at M = 8 and 0.79, 0.74 and 0.61 at
+# M = 16, at 2**17, 2**18 and 2**19 frequencies (medians of 10
+# alternating rounds); at M = 4 (1.23, 1.13, 1.09) and at M = 64, whose
+# member blocks already share the CPUs (1.21, 1.14, 1.11; medians of 5),
+# two pieces were slower throughout.  So a line is cut only from
+# 2 * _MIN_SPAN = 2**18 frequencies on, which keeps the 153,285-long
+# M = 8 line whole and cuts the 1,844,385-long M = 16 one.
 _MIN_SPAN = 1 << 17
 # assemble_line sums the members in contiguous blocks of this many, one
 # job per (block, piece) pair, and adds each later block's piece to the
-# result in block order.  Blocks split the hits themselves, so no hit's
-# fixed cost is paid twice; a bucket of at most this many members is one
-# block and sums as one serial pass.  On 2 vCPUs the four 80,961-long
-# probe lines M = 32 to 256 took a median 1.38 s against 1.59 s on one
-# CPU; blocks of 16 and 64 were within the noise (1.29 and 1.35 s), and
-# 64 would leave the 54-member M = 32 line on one CPU.  The coefficients
-# depend on this length, so it is a constant, not an option.
+# result in block order.  Blocks split the members themselves, so no
+# member's tables are built twice in one piece; a bucket of at most this
+# many members is one block and sums as one serial pass.  On 2 vCPUs the
+# four 80,961-long probe lines M = 32 to 256 took a median 0.656 s
+# (quartiles 0.604 to 0.679 s) against 0.908 s on one CPU; blocks of 16
+# and 64 were within the noise (0.643 and 0.650 s; 10 alternating
+# rounds), and 64 would leave the 54-member M = 32 line on one CPU.
+# The coefficients depend on this length, so it is a constant, not an
+# option.
 _BLOCK_MEMBERS = 32
 # no piece is longer than this many frequencies, to bound the zeroed
 # pieces that the later member blocks sum into, 16 bytes per frequency
@@ -95,9 +108,10 @@ _CHUNK = 1 << 20
 # at 4096 in runs of 16, and 0.48 s at 8192 in runs of 4.
 _BLOCK = 4096
 _FINE = np.arange(_BLOCK, dtype=np.float64)
-# a hit walks its terms in runs of this many table rows, so the per-term
-# passes of a run work on four buffers of 512 kB each, which fill the
-# 2 MB per-core L2 cache of the 2-vCPU Xeon these timings come from.
+# a member walks its terms in runs of this many table rows, so the
+# per-term passes of a run work on four buffers of 512 kB each, which
+# fill the 2 MB per-core L2 cache of the 2-vCPU Xeon these timings come
+# from.
 # On 2 vCPUs the M = 16 line took a median 0.63, 0.45, 0.40 and 0.43 s
 # at 4, 8, 16 and 32 rows, and the M = 4, 8, 16 regime lines 0.45 s at
 # 8 rows against 0.39 s at 16 (16 faster in 10 of 12 alternating
@@ -113,9 +127,20 @@ _J_LIMIT = 1 << 26
 
 @dataclass(frozen=True)
 class _Member:
+    """One denominator's kernel record, on its line l = stride*j.
+
+    ``lp`` is lp_max, the largest squarefree divisor of q coprime to B_q,
+    ``p0`` its residue, and ``stride`` g_min = q/lp_max.  Every divisor
+    hit's lp divides lp_max and its residue is p0 mod lp, so a hit of
+    stride g = s*g_min adds its coef at every s-th term, with no phase
+    of its own: (j/s)*p0_hit/lp and j*p0/lp_max differ by an integer.
+    """
     q: int
     rate: float                 # psi(q) / q
-    hits: tuple                 # (stride g, coef mu(lp)*g/#I_q, lp, p0)
+    stride: int                 # g_min = q / lp_max
+    lp: int                     # lp_max
+    p0: int                     # b*p0 + a == 0 (mod lp_max)
+    hits: tuple                 # (s = g/g_min, coef mu(lp)*g/#I_q, lp, p0)
     theta: tuple                # theta(q) as hi + lo, 26 significant bits each
 
 
@@ -149,9 +174,13 @@ def _member_data(profile: ApproximationProfile,
         theta = profile.theta_of(q)
         big = 134217729.0 * theta           # 2**27 + 1: Veltkamp split
         hi = big - (big - theta)
-        # frequency l = g*j carries phase e(-j*(theta + p0)/lp)
-        hits = tuple((g, mu * g / n_i, lp, p0) for lp, g, mu, p0 in terms)
-        records.append(_Member(q=q, rate=float(p) / q, hits=hits,
+        # every lp divides the largest one, lp_max: the product of the
+        # primes of q that B_q lacks
+        lp_max, g_min, _, p0_max = max(terms)
+        hits = tuple((g // g_min, mu * g / n_i, lp, p0)
+                     for lp, g, mu, p0 in terms)
+        records.append(_Member(q=q, rate=float(p) / q, stride=g_min,
+                               lp=lp_max, p0=p0_max, hits=hits,
                                theta=(hi, theta - hi)))
         counts.append(n_i)
         entries += [(i, k, d, divisor_sum(d))
@@ -201,7 +230,7 @@ def _fmod_product(theta_hi: float, jf: np.ndarray, lp: int,
 
 def _tables(theta: tuple, lp: int, p0: int, step: float, a0: int, a1: int,
             f_lo: int, f_hi: int) -> tuple:
-    """Angles, cosines and sines of one hit's coarse rows and fine columns.
+    """Angles, cosines and sines of one member's coarse rows and fine columns.
 
     The entries run over j = _BLOCK*a, a in [a0, a1], then j in
     [f_lo, f_hi), twice: first the phase angles of e(-j*(theta + p0)/lp),
@@ -211,8 +240,9 @@ def _tables(theta: tuple, lp: int, p0: int, step: float, a0: int, a1: int,
     taken in integers, and |theta_lo*j| < 1/2 needs no reduction; only
     the sum and the division by lp round.  The kernel angle at j = 0 is
     1e-300, so that sin(x)/x is exactly 1 there.  One ``np.cos`` and one
-    ``np.sin`` serve all four tables: a hit over whole rows makes
-    2 * (rows + 4096) entries, which took 240 to 270 us on 2 vCPUs.
+    ``np.sin`` serve all four tables: a member over whole rows makes
+    2 * (rows + 4096) entries, which took 215 to 220 us on 2 vCPUs at 1
+    to 20 rows.
     """
     jf = np.concatenate((np.arange(a0 * _BLOCK, (a1 + 1) * _BLOCK, _BLOCK,
                                    dtype=np.float64), _FINE[f_lo:f_hi]))
@@ -238,22 +268,26 @@ def _line_segment(members: tuple, bump: BumpSpec, out: np.ndarray,
 
     ``members`` is a run of ``_Member`` records, ``out`` holds the real
     and imaginary planes of the window's coefficients, shape
-    (2, l_hi - l_lo + 1), and ``scratch`` is one ``_scratch``.  Per hit,
-    the term at l = g*j, j = _BLOCK*a + b, is
-    coef * e(-j*(theta + p0)/lp) * fhat(l*rate), both factors read off
-    the hit's ``_tables``: the phase is coarse[a] * fine[b], and the
+    (2, l_hi - l_lo + 1), and ``scratch`` is one ``_scratch``.  Per
+    member, the term at l = g_min*j, j = _BLOCK*a + b, is
+    e(-j*(theta + p0)/lp_max) * fhat(l*rate) * R(j), where R(j) is the sum
+    of the coefs of the hits whose s divides j, so that S(q, l)/#I_q is
+    e(-j*p0/lp_max) * R(j).  The phase and the kernel are read off the
+    member's one ``_tables``: the phase is coarse[a] * fine[b], and the
     kernel sinc(x)**m, x = x_a + x_b, takes sin(x) as
     sin(x_a)*cos(x_b) + cos(x_a)*sin(x_b), with the power by repeated
     squaring.  Every product is spelled out in real operations, each
-    rounded once whatever loop numpy picks, so each term depends on j
-    alone, not on the window or the run length.  The hit's terms are
-    walked in runs of ``_RUN_ROWS`` table rows: the row-by-column
-    products fill a run's rectangle, and every other pass works on the
-    run's terms inside the window, in buffers that stay in the L2 cache.
-    A hit adds its real and imaginary parts into their own planes, at
-    stride g: the same adds as into a complex line, on half the stride.
-    Runs on worker threads, so it calls nothing that the benchmark's
-    tracer wraps (``ApproximationProfile.bucket``, ``BumpSpec.fourier``,
+    rounded once whatever loop numpy picks, and R(j) adds the coefs in
+    hit order, so each term depends on j alone, not on the window or the
+    run length.  The member's terms are walked in runs of ``_RUN_ROWS``
+    table rows: the row-by-column products fill a run's rectangle, and
+    every other pass works on the run's terms inside the window, in
+    buffers that stay in the L2 cache.  R is summed in the ``re`` buffer
+    and multiplied by the kernel; the phase then takes the ``kern`` and
+    ``im`` buffers.  A member adds its real and imaginary parts into
+    their own planes, at stride g_min.  Runs on worker threads, so it
+    calls nothing that the benchmark's tracer wraps
+    (``ApproximationProfile.bucket``, ``BumpSpec.fourier``,
     ``BumpSpec.value``, ``residue_set``): its span stack is not
     thread-local.
     """
@@ -263,61 +297,65 @@ def _line_segment(members: tuple, bump: BumpSpec, out: np.ndarray,
     width = TWO_PI * bump.box_halfwidth
     bits = bin(bump.order)[3:]          # the bits after the leading one
     for mem in members:
-        for g, coef, lp, p0 in mem.hits:
-            j0 = -((-l_lo) // g)        # ceil(l_lo / g)
-            j1 = l_hi // g
-            if j1 < j0:
-                continue
-            if j1 >= _J_LIMIT or p0 * j1 >= 1 << 63:
-                raise ValueError(f"frequency {g * j1} is beyond the exact "
-                                 f"phase tables (j < 2**26 at stride {g}, "
-                                 f"p0*j < 2**63)")
-            n = j1 - j0 + 1
-            a0, a1 = j0 // _BLOCK, j1 // _BLOCK
-            b0 = j0 - a0 * _BLOCK
-            # one block needs only its own fine entries
-            f_lo, f_hi = (b0, b0 + n) if a0 == a1 else (0, _BLOCK)
-            na, fw = a1 - a0 + 1, f_hi - f_lo
-            ang, cos, sin = _tables(mem.theta, lp, p0, width * (mem.rate * g),
-                                    a0, a1, f_lo, f_hi)
-            m = na + fw                 # the kernel entries start here
-            c_re, c_im = coef * cos[:na], coef * sin[:na]
-            f_re, f_im = cos[na:m], sin[na:m]
-            c_b, s_b, x_b = cos[m + na:], sin[m + na:], ang[m + na:]
-            first = b0 - f_lo           # j0's place in the flat table
-            for r in range(0, na, _RUN_ROWS):
-                r1 = min(r + _RUN_ROWS, na)
-                kern, tmp, re, im = (buf[:r1 - r, :fw] for buf in scratch)
-                # the run's terms inside the window, flat
-                lo, hi = max(first, r * fw), min(first + n, r1 * fw)
-                kv, tv, rv, iv = (buf[lo - r * fw:hi - r * fw]
-                                  for buf in flat)
-                np.multiply(sin[m + r:m + r1, None], c_b, out=kern)
-                np.multiply(cos[m + r:m + r1, None], s_b, out=tmp)
-                np.add(kv, tv, out=kv)
-                np.add(ang[m + r:m + r1, None], x_b, out=tmp)
-                acc = np.divide(kv, tv, out=tv)
-                for bit in bits:
-                    acc = np.multiply(acc, acc, out=kv)
-                    if bit == "1":
-                        np.multiply(kv, tv, out=kv)
-                np.multiply(c_re[r:r1, None], f_re, out=re)
-                np.multiply(c_im[r:r1, None], f_im, out=tmp)
-                np.subtract(rv, tv, out=rv)
-                np.multiply(c_re[r:r1, None], f_im, out=im)
-                np.multiply(c_im[r:r1, None], f_re, out=tmp)
-                np.add(iv, tv, out=iv)
-                start = g * (j0 + lo - first) - l_lo
-                for vals, plane in zip((rv, iv), out):
-                    plane[start::g][:hi - lo] += np.multiply(vals, kv,
-                                                             out=vals)
+        g = mem.stride
+        j0 = -((-l_lo) // g)            # ceil(l_lo / g)
+        j1 = l_hi // g
+        if j1 < j0:
+            continue
+        if j1 >= _J_LIMIT or mem.p0 * j1 >= 1 << 63:
+            raise ValueError(f"frequency {g * j1} is beyond the exact "
+                             f"phase tables (j < 2**26 at stride {g}, "
+                             f"p0*j < 2**63)")
+        n = j1 - j0 + 1
+        a0, a1 = j0 // _BLOCK, j1 // _BLOCK
+        b0 = j0 - a0 * _BLOCK
+        # one block needs only its own fine entries
+        f_lo, f_hi = (b0, b0 + n) if a0 == a1 else (0, _BLOCK)
+        na, fw = a1 - a0 + 1, f_hi - f_lo
+        ang, cos, sin = _tables(mem.theta, mem.lp, mem.p0,
+                                width * (mem.rate * g), a0, a1, f_lo, f_hi)
+        m = na + fw                     # the kernel entries start here
+        c_re, c_im = cos[:na], sin[:na]
+        f_re, f_im = cos[na:m], sin[na:m]
+        c_b, s_b, x_b = cos[m + na:], sin[m + na:], ang[m + na:]
+        first = b0 - f_lo               # j0's place in the flat table
+        for r in range(0, na, _RUN_ROWS):
+            r1 = min(r + _RUN_ROWS, na)
+            kern, tmp, _, im = (buf[:r1 - r, :fw] for buf in scratch)
+            # the run's terms inside the window, flat
+            lo, hi = max(first, r * fw), min(first + n, r1 * fw)
+            kv, tv, rv, iv = (buf[lo - r * fw:hi - r * fw] for buf in flat)
+            jr = j0 + lo - first        # the run's first j
+            rv.fill(0.0)
+            for s, coef, _, _ in mem.hits:
+                rv[-jr % s::s] += coef  # R(j) at the multiples of s
+            np.multiply(sin[m + r:m + r1, None], c_b, out=kern)
+            np.multiply(cos[m + r:m + r1, None], s_b, out=tmp)
+            np.add(kv, tv, out=kv)
+            np.add(ang[m + r:m + r1, None], x_b, out=tmp)
+            acc = np.divide(kv, tv, out=tv)
+            for bit in bits:
+                acc = np.multiply(acc, acc, out=kv)
+                if bit == "1":
+                    np.multiply(kv, tv, out=kv)
+            np.multiply(rv, kv, out=rv)             # kernel times R
+            np.multiply(c_re[r:r1, None], f_re, out=kern)
+            np.multiply(c_im[r:r1, None], f_im, out=tmp)
+            np.subtract(kv, tv, out=kv)             # the phase, real
+            np.multiply(c_re[r:r1, None], f_im, out=im)
+            np.multiply(c_im[r:r1, None], f_re, out=tmp)
+            np.add(iv, tv, out=iv)                  # and imaginary
+            start = g * jr - l_lo
+            for vals, plane in zip((kv, iv), out):
+                plane[start::g][:hi - lo] += np.multiply(vals, rv, out=vals)
 
 
 def _scratch() -> tuple:
-    """One worker's buffers (kern, tmp, re, im) for one run of a hit.
+    """One worker's buffers (kern, tmp, re, im) for one run of a member.
 
     Each holds ``_RUN_ROWS`` table rows of ``_BLOCK`` floats, 512 kB
-    whatever the length of the piece.
+    whatever the length of the piece.  ``re`` holds the run's divisor
+    sum R(j) and then R times the kernel.
     """
     return tuple(np.empty((_RUN_ROWS, _BLOCK)) for _ in range(4))
 
@@ -334,11 +372,12 @@ def assemble_line(data: _MemberTable, bump: BumpSpec, l_lo: int,
                   l_hi: int) -> np.ndarray:
     """Bucket-averaged coefficient line on the contiguous window [l_lo, l_hi].
 
-    Every in-window term of every divisor hit is summed.  The window is
-    cut once into contiguous pieces, one per available CPU but none
-    shorter than ``_MIN_SPAN`` or longer than ``_CHUNK``, and the members
-    into contiguous blocks of ``_BLOCK_MEMBERS``.  Each (block, piece)
-    pair is one job, submitted block by block to one thread per CPU.
+    Every in-window term of every member is summed, each member from one
+    set of phase and kernel tables per piece.  The window is cut once
+    into contiguous pieces, one per available CPU but none shorter than
+    ``_MIN_SPAN`` or longer than ``_CHUNK``, and the members into
+    contiguous blocks of ``_BLOCK_MEMBERS``.  Each (block, piece) pair
+    is one job, submitted block by block to one thread per CPU.
     The sums run on separate real and imaginary planes.  Block 0 adds
     straight into them; every later block sums into its own zeroed
     pair of pieces.  The calling thread folds the jobs in submission

@@ -185,15 +185,19 @@ def _oracle_coefficient(prof, members, l, bump=BUMP):
                                        (16, (1843800, 1844000, 1844040)),
                                        (16, (4095, 4096, 4097, 8191, 8192)),
                                        (16, (8190, 8192, 8194, 16382,
-                                             16384))])
+                                             16384)),
+                                       (16, (12285, 12288, 12291)),
+                                       (16, (16380, 16384, 16388))])
 def test_assemble_line_matches_exact_phase_oracle(reference_profile, scale,
                                                   ls):
     # frequencies where rounding shift*j before reducing it cost the most
     # (up to 2.1e-14 off); exactly reduced phases stay below 1e-16.  The
     # M=16 points out to its band edge put the kernel's table sine at
-    # arguments in the tens to hundreds.  The last two rows sit at the
+    # arguments in the tens to hundreds.  The next two rows sit at the
     # coarse-row edges j = 4095, 4096, 4097, 8191 and 8192 of the stride
-    # g = 1 hits (l = j) and of the g = 2 hits (l = 2*j)
+    # g = 1 members (l = j) and of the g = 2 ones (l = 2*j); the last two
+    # at j = 4095, 4096, 4097 of the members with g_min = 3 (q = 45) and
+    # g_min = 4 (q = 24, 40), l = 3*j and l = 4*j
     prof = reference_profile
     members = prof.bucket(ETA, scale).members
     data = _member_data(prof, members)
@@ -218,18 +222,27 @@ def test_assemble_line_is_chunk_invariant(reference_profile, monkeypatch,
 
 def test_assemble_line_shifted_pairs_match_exact_phase_oracle():
     # the pair (1, 1) gives most hits a residue p0 != 0, whose p0*j mod lp
-    # is taken in integers
-    prof = ApproximationProfile(q_min=2, q_max=2000, theta_value=0.3,
-                                coprime_kind="table",
-                                pair_table={q: (1, 1) for q in range(2, 60)})
-    members = prof.bucket(ETA, 16).members
-    data = _member_data(prof, members)
-    assert sum(bool(hit[3]) for mem in data.members for hit in mem.hits) > 50
-    ls = (82984, 85008)
-    line = assemble_line(data, BUMP, min(ls), max(ls))
-    for l in ls:
-        want = _oracle_coefficient(prof, members, l)
-        assert abs(line[l - min(ls)] - want) <= 1e-15, l
+    # is taken in integers.  The pair (1, 2) on even q skips every lp
+    # that 2 divides, so lp_max is the odd part of rad(q), g_min is even,
+    # and the hits of stride s = lp_max/lp, each with its own p0, share
+    # the member's twist e(-j*p0_max/lp_max)
+    for pair in ((1, 1), (1, 2)):
+        prof = ApproximationProfile(
+            q_min=2, q_max=2000, theta_value=0.3, coprime_kind="table",
+            pair_table={q: pair for q in range(2, 60, pair[1])})
+        members = prof.bucket(ETA, 16).members
+        data = _member_data(prof, members)
+        assert sum(bool(hit[3]) for mem in data.members
+                   for hit in mem.hits) > (50 if pair == (1, 1) else 10)
+        if pair == (1, 2):
+            q30 = next(mem for mem in data.members if mem.q == 30)
+            assert (q30.stride, q30.lp, q30.p0) == (2, 15, 7)
+            assert sorted(hit[0] for hit in q30.hits if hit[3]) == [1, 3, 5]
+        ls = (82984, 85008)
+        line = assemble_line(data, BUMP, min(ls), max(ls))
+        for l in ls:
+            want = _oracle_coefficient(prof, members, l)
+            assert abs(line[l - min(ls)] - want) <= 1e-15, (pair, l)
 
 
 @example(theta=-0.5, lp=1, js=[0, 2, 3])      # zero remainders, negative
@@ -483,6 +496,26 @@ def test_assemble_line_blocks_share_out_a_probe_line(reference_profile,
     _cpus(monkeypatch, 2)
     assemble_line(data, BUMP, 0, 80960)
     assert len(threads) >= 2
+
+
+def test_assemble_line_builds_one_table_set_per_member(reference_profile,
+                                                      monkeypatch):
+    # the divisor hits of a member share its phase and kernel tables: on
+    # one CPU the M=256 probe line is one piece, and every one of its 550
+    # members has terms there, so 550 table sets, not one per hit (2,968)
+    data = _member_data(reference_profile,
+                        reference_profile.bucket(ETA, 256).members)
+    assert len(data.members) == 550
+    assert sum(len(mem.hits) for mem in data.members) == 2968
+    calls, inner = [], measure._tables
+
+    def tables(theta, lp, *args):
+        calls.append(lp)
+        return inner(theta, lp, *args)
+    monkeypatch.setattr(measure, "_tables", tables)
+    _cpus(monkeypatch, 1)
+    assemble_line(data, BUMP, 0, 80960)
+    assert calls == [mem.lp for mem in data.members]
 
 
 def test_assemble_line_one_block_is_one_serial_pass(reference_profile,
