@@ -452,9 +452,11 @@ class DirectDensity:
     an 8-node Gauss-Legendre rule on each of the bump's polynomial pieces,
     clipped to the target, of bump(u) times the window and the coarser
     combs at x = c + rate * u, evaluated only on the pieces the target
-    meets and summed in a fixed order, whatever the batch.  Whole-spike masses are computed once: they sum to ``z``, and a target
-    interval that holds a spike whole reuses its mass, so only spikes
-    that cross a target edge are integrated again.
+    meets and summed in a fixed order, whatever the batch.
+
+    Whole-spike masses are computed once: they sum to ``z``, and a
+    target interval that holds a spike whole reuses its mass, so only
+    spikes that cross a target edge are integrated again.
     """
 
     def __init__(self, stage: MeasureStage):
@@ -487,10 +489,6 @@ class DirectDensity:
         """Unnormalized density: window times every factor comb."""
         return self._product(np.atleast_1d(np.asarray(x, dtype=float)),
                              self.combs)
-
-    def value(self, x) -> np.ndarray:
-        """Normalized density (unit total mass)."""
-        return self.raw_value(x) / self.z
 
     # -- integration ----------------------------------------------------
 
@@ -635,54 +633,18 @@ def _target_unions(profile: ApproximationProfile, qs: np.ndarray):
     return out[0], out[1], n, np.bincount(own, minlength=len(qs))
 
 
-def _target_intervals(profile: ApproximationProfile, q: int):
-    """Union of full-radius approximation intervals at modulus q."""
-    lo, hi, n, count = _target_unions(profile, np.array([q]))
-    return lo[0, :n[0]], hi[0, :n[0]], int(count[0])
-
-
-def measure_of_Aq(stage: MeasureStage, q: int, method: str = "direct",
-                  evaluator: DirectDensity | None = None,
-                  mc_samples: int = 0, seed: int = 0) -> float:
-    """Mass the built measure gives the modulus-q approximation set.
-
-    ``direct`` sums the exact product density's per-spike masses over
-    the interval union (``DirectDensity.measure_of_intervals``) and is
-    the certified route.  ``series`` pairs the density series
-    (``stage.density``, derived from the stored g-product block) with
-    the closed-form interval transform; it inherits that series'
-    truncation error and is kept as a cross-check.
-    A positive ``mc_samples`` switches to a seeded stratified
-    Monte-Carlo estimate.
-    """
-    lo, hi, _count = _target_intervals(stage.profile, q)
-    if len(lo) == 0:
+def measure_of_Aq(stage: MeasureStage, q: int,
+                  evaluator: DirectDensity | None = None) -> float:
+    """Mass the built measure gives the modulus-q approximation set: the
+    upper report's route for one q, ``_target_unions`` then
+    ``DirectDensity.measure_of_intervals``, the same bits as its row."""
+    if q < 1:
+        raise ValueError(f"modulus must be >= 1, got {q}")
+    lo, hi, n, _count = _target_unions(stage.profile, np.array([q]))
+    if n[0] == 0:
         return 0.0
-    if mc_samples:
-        rng = np.random.default_rng(seed)
-        dd = evaluator or DirectDensity(stage)
-        acc = 0.0
-        span = float((hi - lo).sum())
-        for a, b in zip(lo, hi):
-            n = max(1, int(round(mc_samples * (b - a) / span)))
-            xs = rng.uniform(a, b, size=n)
-            acc += (b - a) * float(np.mean(dd.value(xs)))
-        return acc
-    if method == "direct":
-        dd = evaluator or DirectDensity(stage)
-        return dd.measure_of_intervals(lo, hi)
-    if method == "series":
-        dens = stage.density
-        L = dens.half_bandwidth
-        ls = np.arange(1, L + 1, dtype=float)
-        hats0 = float((hi - lo).sum())
-        phase_hi = np.exp(2j * np.pi * np.outer(ls, hi)).sum(axis=1)
-        phase_lo = np.exp(2j * np.pi * np.outer(ls, lo)).sum(axis=1)
-        hats = (phase_hi - phase_lo) / (2j * np.pi * ls)
-        pos = dens.coeffs[L + 1:]
-        return float(dens.coeffs[L].real) * hats0 + 2.0 * float(
-            np.sum(pos.real * hats.real - pos.imag * hats.imag))
-    raise ValueError(f"unknown method: {method!r}")
+    dd = evaluator or DirectDensity(stage)
+    return dd.measure_of_intervals(lo[0, :n[0]], hi[0, :n[0]])
 
 
 @dataclass(frozen=True)

@@ -75,14 +75,6 @@ def mobius(n: int) -> int:
     return -1 if len(fac) % 2 else 1
 
 
-def euler_phi(n: int) -> int:
-    """Euler totient of ``n >= 1``."""
-    out = n
-    for p, _ in factorize(n):
-        out -= out // p
-    return out
-
-
 def divisor_count(n: int) -> int:
     """Number of positive divisors of ``n``."""
     out = 1
@@ -211,19 +203,14 @@ def ramanujan_sum_bruteforce(q: int, k: int, a: int = 0, b: int = 1) -> complex:
     return complex(phase.sum())
 
 
-def ramanujan_sum_divisor(q: int, k: int, a: int = 0, b: int = 1) -> complex:
-    """S(q, k) via the divisor formula: the ``divisor_hits`` terms whose
-    stride ``g`` divides k."""
+def ramanujan_sum(q: int, k: int, a: int = 0, b: int = 1) -> complex:
+    """S(q, k) for the pair (a, b) via the divisor formula: the
+    ``divisor_hits`` terms whose stride ``g`` divides k."""
     total = 0.0 + 0.0j
     for _, g, mu, p0 in divisor_hits(q, a, b):
         if k % g == 0:
             total += mu * g * np.exp(-2j * np.pi * k * p0 / q)
     return complex(total)
-
-
-def ramanujan_sum(q: int, k: int, a: int = 0, b: int = 1) -> complex:
-    """S(q, k) for the pair (a, b); divisor formula."""
-    return ramanujan_sum_divisor(q, k, a, b)
 
 
 def ramanujan_period(q: int, a: int = 0, b: int = 1) -> np.ndarray:
@@ -248,11 +235,6 @@ def ramanujan_period_dense(q: int, a: int = 0, b: int = 1) -> np.ndarray:
     """
     rs = residue_set(q, a, b)
     return np.fft.fft(rs.mask.astype(np.float64))
-
-
-def ramanujan_bound(q: int, k: int) -> int:
-    """Divisor-sum envelope: |S(q, k)| <= sigma(gcd(q, k)) for every pair."""
-    return divisor_sum(math.gcd(q, k))
 
 
 def grs_bound_ratio(q: int, k: int, a: int = 0, b: int = 1) -> float:

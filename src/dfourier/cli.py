@@ -16,8 +16,8 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 
 from dfourier.arith import (
+    ramanujan_sum,
     ramanujan_sum_bruteforce,
-    ramanujan_sum_divisor,
     residue_count,
     residue_set,
 )
@@ -153,7 +153,7 @@ def cmd_ramanujan(args: argparse.Namespace) -> int:
             brute = ramanujan_sum_bruteforce(args.q, args.k, args.a, args.b)
             print(f"brute   = {_fmt_value(brute)}")
         if args.method in ("divisor", "both"):
-            div = ramanujan_sum_divisor(args.q, args.k, args.a, args.b)
+            div = ramanujan_sum(args.q, args.k, args.a, args.b)
             print(f"divisor = {_fmt_value(div)}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """Transform sampling, decay reports, support witnesses, interval masses."""
 import json
 import math
+import warnings
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from dfourier import (
     write_upper_csv,
 )
 from dfourier.analyze import (DirectDensity, _clip_to_union, _merge_intervals,
-                              _target_intervals, _target_unions)
+                              _target_unions)
 from dfourier.arith import residue_set
 
 
@@ -399,6 +400,12 @@ def test_interval_toolkit_matches_loops(family, clips):
         assert np.array_equal(got_hi[owner == k], want_hi)
 
 
+def _one_union(profile, q):
+    # one q's row of the stacked unions, without its padding
+    lo, hi, n, count = _target_unions(profile, np.array([q]))
+    return lo[0, :n[0]], hi[0, :n[0]], int(count[0])
+
+
 @pytest.mark.parametrize("theta", [0.0005, 0.9995])
 def test_target_intervals_wrap_across_the_ends(theta):
     # the p = 0 interval crosses 0 (small theta) or the p = q - 1 one
@@ -406,7 +413,7 @@ def test_target_intervals_wrap_across_the_ends(theta):
     prof = power_law_profile(2.0, 1000, q_min=2, theta=theta,
                              coprime="unrestricted")
     for q in (5, 12):
-        lo, hi, count = _target_intervals(prof, q)
+        lo, hi, count = _one_union(prof, q)
         assert count == q and lo[0] == 0.0 and hi[-1] == 1.0
         assert (hi - lo).sum() == pytest.approx(2.0 * count * q ** -3.0,
                                                 rel=1e-12)
@@ -454,7 +461,7 @@ def test_target_unions_match_one_q_loop(profile):
         assert np.array_equal(lo[t, :n[t]], want_lo)
         assert np.array_equal(hi[t, :n[t]], want_hi)
         assert not np.any(lo[t, n[t]:] < hi[t, n[t]:])     # empty padding
-        one_lo, one_hi, one_count = _target_intervals(profile, q)
+        one_lo, one_hi, one_count = _one_union(profile, q)
         assert np.array_equal(one_lo, want_lo)
         assert np.array_equal(one_hi, want_hi) and one_count == want_count
     if profile.psi_kind == "table":
@@ -520,7 +527,7 @@ def test_spike_mass_is_batch_independent(request, name):
 def test_report_rows_match_one_q_calls(st1, dd1):
     up = borel_cantelli_report(st1)
     for row in up.per_q:
-        lo, hi, _count = _target_intervals(st1.profile, row["q"])
+        lo, hi, _count = _one_union(st1.profile, row["q"])
         assert row["intervals"] == len(lo)
         assert row["total_length"] == float((hi - lo).sum())
         assert row["measured"] == measure_of_Aq(st1, row["q"],
@@ -531,6 +538,53 @@ def test_report_rows_match_one_q_calls(st1, dd1):
     stacked = dd1.measure_of_intervals(lo, hi)
     assert np.array_equal(stacked, [dd1.measure_of_intervals(
         lo[t, :n[t]], hi[t, :n[t]]) for t in range(len(qs))])
+
+
+def test_report_rows_match_one_q_calls_two_stages(st2):
+    up = borel_cantelli_report(st2, n_max=200)
+    dd = DirectDensity(st2)
+    for row in up.per_q[::40] + up.per_q[-1:]:
+        assert row["measured"] == measure_of_Aq(st2, row["q"], evaluator=dd)
+
+
+def test_measure_of_Aq_rejects_nonpositive_modulus(st1, dd1):
+    for q in (0, -3):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            measure_of_Aq(st1, q, evaluator=dd1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # past the profile's window psi is 0: an empty union, no warning
+        assert measure_of_Aq(st1, 10**6 + 1, evaluator=dd1) == 0.0
+
+
+def _series_mass(stage, q):
+    # oracle: the density series (inheriting its truncation error)
+    # paired with the closed-form transform of the interval union
+    lo, hi, _count = _one_union(stage.profile, q)
+    dens = stage.density
+    L = dens.half_bandwidth
+    ls = np.arange(1, L + 1, dtype=float)
+    hats0 = float((hi - lo).sum())
+    phase_hi = np.exp(2j * np.pi * np.outer(ls, hi)).sum(axis=1)
+    phase_lo = np.exp(2j * np.pi * np.outer(ls, lo)).sum(axis=1)
+    hats = (phase_hi - phase_lo) / (2j * np.pi * ls)
+    pos = dens.coeffs[L + 1:]
+    return float(dens.coeffs[L].real) * hats0 + 2.0 * float(
+        np.sum(pos.real * hats.real - pos.imag * hats.imag))
+
+
+def _monte_carlo_mass(stage, dd, q, samples, seed):
+    # oracle: seeded Monte Carlo on the normalized density, stratified
+    # by interval in proportion to its length
+    lo, hi, _count = _one_union(stage.profile, q)
+    rng = np.random.default_rng(seed)
+    acc = 0.0
+    span = float((hi - lo).sum())
+    for a, b in zip(lo, hi):
+        k = max(1, int(round(samples * (b - a) / span)))
+        xs = rng.uniform(a, b, size=k)
+        acc += (b - a) * float(np.mean(dd.raw_value(xs) / dd.z))
+    return acc
 
 
 def test_interval_masses_direct_vs_series(st1, dd1):
@@ -544,20 +598,15 @@ def test_interval_masses_direct_vs_series(st1, dd1):
     for q, value in want.items():
         direct = measure_of_Aq(st1, q, evaluator=dd1)
         assert direct == pytest.approx(value, rel=1e-12)
-        series = measure_of_Aq(st1, q, method="series")
+        series = _series_mass(st1, q)
         assert abs(direct - series) < 1e-12
 
 
 def test_interval_mass_monte_carlo(st1, dd1):
     direct = measure_of_Aq(st1, 5, evaluator=dd1)
     assert direct == pytest.approx(0.30942187074700167, rel=1e-12)
-    mc = measure_of_Aq(st1, 5, mc_samples=200_000, seed=0, evaluator=dd1)
+    mc = _monte_carlo_mass(st1, dd1, 5, samples=200_000, seed=0)
     assert abs(mc - direct) < 0.01
-
-
-def test_interval_mass_unknown_method(st1):
-    with pytest.raises(ValueError, match="unknown method"):
-        measure_of_Aq(st1, 3, method="mc")
 
 
 def test_upper_bound_report_frozen(st1):

@@ -14,16 +14,13 @@ from dfourier.arith import (
     divisor_hits,
     divisor_sum,
     divisors,
-    euler_phi,
     factorize,
     grs_bound_ratio,
     mobius,
-    ramanujan_bound,
     ramanujan_period,
     ramanujan_period_dense,
     ramanujan_sum,
     ramanujan_sum_bruteforce,
-    ramanujan_sum_divisor,
     residue_count,
     residue_set,
     squarefree_divisors,
@@ -42,8 +39,6 @@ def test_factorize_hand_values():
 
 def test_small_multiplicative_tables():
     assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
-    assert euler_phi(12) == 4
-    assert euler_phi(1) == 1
     assert divisor_count(12) == 6
     assert divisor_sum(12) == 28
     assert list(divisors(12)) == [1, 2, 3, 4, 6, 12]
@@ -60,10 +55,9 @@ def test_divisor_tables_agree_with_bruteforce(n):
 
 @given(st.integers(min_value=1, max_value=2000),
        st.integers(min_value=1, max_value=2000))
-def test_phi_and_mobius_multiplicative(m, n):
+def test_mobius_multiplicative(m, n):
     if math.gcd(m, n) != 1:
         return
-    assert euler_phi(m * n) == euler_phi(m) * euler_phi(n)
     assert mobius(m * n) == mobius(m) * mobius(n)
 
 
@@ -138,7 +132,7 @@ def test_divisor_formula_matches_bruteforce(q, k, a, b):
     if math.gcd(a, b) != 1:
         return
     brute = ramanujan_sum_bruteforce(q, k, a, b)
-    div = ramanujan_sum_divisor(q, k, a, b)
+    div = ramanujan_sum(q, k, a, b)
     assert abs(brute - div) < 1e-9
 
 
@@ -163,7 +157,8 @@ def test_classical_multiplicativity(m, n, k):
 @given(st.integers(min_value=1, max_value=300),
        st.integers(min_value=1, max_value=300))
 def test_divisor_sum_envelope(q, k):
-    assert abs(ramanujan_sum(q, k)) <= ramanujan_bound(q, k) + 1e-9
+    # |S(q, k)| <= sigma(gcd(q, k)) for every pair
+    assert abs(ramanujan_sum(q, k)) <= divisor_sum(math.gcd(q, k)) + 1e-9
 
 
 def test_period_lines_agree():
