@@ -30,6 +30,7 @@ from .profile import ApproximationProfile
 _SPIKE_CHUNK = 4096         # spikes integrated per batch
 _UNION_CHUNK = 1 << 17      # residues (the sum of q) per batch of target unions
 _INCREMENT_CUTOFF = 400     # the upper report's increments are taken past it
+_WITNESS_GRID = 1 << 14     # points of the support witness scan
 
 
 # ----------------------------------------------------------------------
@@ -82,8 +83,6 @@ def pointwise_error_bound(stage: MeasureStage,
     if xi_top is None:
         xi_top = float(cfg.xi_max)
     rows = factor_tail_profiles(stage)
-    if not rows:
-        return sampling_remainder(stage)
     d_h = cfg.kernel_halfwidth
     w_l1 = float(np.sum(np.abs(bump.window_kernel(0.0, 4 * d_h)))) \
         + 2.0 * bump.window_tail_sum(4 * d_h - 1)
@@ -299,15 +298,19 @@ class _FactorComb:
     masks: tuple
 
 
-def _factor_comb(profile: ApproximationProfile, eta: float,
+def _factor_comb(profile: ApproximationProfile, qs,
                  scale: int) -> _FactorComb:
-    qs = profile.bucket(eta, scale).members.astype(np.int64)
-    sets = [residue_set(q, *profile.pair(q)) for q in qs.tolist()]
-    return _FactorComb(scale=scale, qs=qs, psi=profile.psi_values(qs),
+    """The moduli qs and their cells; one with psi = 0 (any q off the
+    members) gets count 0 and no residue set."""
+    qs = np.asarray(qs, dtype=np.int64)
+    psi = profile.psi_values(qs)
+    sets = [residue_set(q, *profile.pair(q)) if r > 0.0 else None
+            for q, r in zip(qs.tolist(), psi.tolist())]
+    return _FactorComb(scale=scale, qs=qs, psi=psi,
                        theta=profile.theta_values(qs),
-                       counts=np.array([rs.count for rs in sets],
+                       counts=np.array([rs.count if rs else 0 for rs in sets],
                                        dtype=np.int64),
-                       masks=tuple(rs.mask for rs in sets))
+                       masks=tuple(rs.mask if rs else None for rs in sets))
 
 
 def _offset(x, q: int, theta: float):
@@ -396,20 +399,10 @@ def _clip_to_union(a: np.ndarray, b: np.ndarray, lo: np.ndarray,
     return owner[keep], piece[keep], seg_lo[keep], seg_hi[keep]
 
 
-def _wrap_copies(c: np.ndarray, r):
-    """Index and shift (0, 1 or -1) of every copy [c - r, c + r] + shift
-    of the given intervals that meets (0, 1)."""
-    k = np.tile(np.arange(len(c)), 3)
-    shift = np.repeat([0.0, 1.0, -1.0], len(c))
-    r = np.broadcast_to(r, c.shape)[k]
-    live = (c[k] - r + shift < 1.0) & (c[k] + r + shift > 0.0)
-    return k[live], shift[live]
-
-
-def _comb_spikes(comb: _FactorComb, shrink: float):
-    """Centre, rate psi/q and weight 1/(#I_q * #bucket) of every wrap
-    copy of the comb's bumps, in centre order; a bump spans
-    c + rate * [-shrink, shrink]."""
+def _cells(comb: _FactorComb, reach: float):
+    """Modulus index, centre c = (p + theta)/q mod 1, shift (0, 1 or -1)
+    and rate psi/q of every wrap copy that meets (0, 1) of the comb's
+    cells |x - c| < reach * psi/q, p admissible; by shift, then q and p."""
     live = np.flatnonzero(comb.psi > 0.0)
     p = np.concatenate([np.zeros(0, dtype=np.intp)]
                        + [np.flatnonzero(comb.masks[i]) for i in live])
@@ -417,12 +410,24 @@ def _comb_spikes(comb: _FactorComb, shrink: float):
     q = comb.qs[own]
     c = np.mod((p + comb.theta[own]) / q, 1.0)
     rate = comb.psi[own] / q
-    k, shift = _wrap_copies(c, shrink * rate)
-    centre = c[k] + shift
+    k = np.tile(np.arange(len(c)), 3)
+    shift = np.repeat([0.0, 1.0, -1.0], len(c))
+    r = reach * rate[k]
+    live = (c[k] - r + shift < 1.0) & (c[k] + r + shift > 0.0)
+    k = k[live]
+    return own[k], c[k], shift[live], rate[k]
+
+
+def _comb_spikes(comb: _FactorComb, shrink: float):
+    """Centre, rate psi/q and weight 1/(#I_q * #bucket) of every wrap
+    copy of the comb's bumps, in centre order; a bump spans
+    c + rate * [-shrink, shrink]."""
+    own, c, shift, rate = _cells(comb, shrink)
+    centre = c + shift
     order = np.argsort(centre, kind="stable")
-    k = k[order]
-    return (centre[order], rate[k],
-            1.0 / (comb.counts[own[k]] * float(len(comb.qs))))
+    own = own[order]
+    return (centre[order], rate[order],
+            1.0 / (comb.counts[own] * float(len(comb.qs))))
 
 
 def _fine_spikes(combs: list, shrink: float):
@@ -462,8 +467,8 @@ class DirectDensity:
     def __init__(self, stage: MeasureStage):
         self.stage = stage
         self.bump = stage.config.bump
-        self.combs = [_factor_comb(stage.profile, stage.eta, s)
-                      for s in stage.scales]
+        self.combs = [_factor_comb(stage.profile, stage.profile.bucket(
+            stage.eta, s).members, s) for s in stage.scales]
         self._nodes, self._weights = leggauss(8)
         self._knots = np.linspace(-self.bump.shrink, self.bump.shrink,
                                   self.bump.order + 1)
@@ -581,12 +586,12 @@ def support_witnesses(stage: MeasureStage, x: float,
             "witnesses": witnesses}
 
 
-def support_witness_scan(stage: MeasureStage, n_grid: int = 1 << 14,
+def support_witness_scan(stage: MeasureStage,
                          threshold: float = 0.0) -> dict:
-    """Witness check over a regular grid; every positive point must
-    produce a witness at every stage."""
+    """Witness check over the ``_WITNESS_GRID`` midpoints; every positive
+    point must produce a witness at every stage."""
     dd = DirectDensity(stage)
-    x = (np.arange(n_grid) + 0.5) / n_grid
+    x = (np.arange(_WITNESS_GRID) + 0.5) / _WITNESS_GRID
     dens = dd.raw_value(x)
     positive = np.nonzero(dens > threshold)[0]
     failures = []
@@ -596,7 +601,7 @@ def support_witness_scan(stage: MeasureStage, n_grid: int = 1 << 14,
                 failures.append({"x": float(x[idx]),
                                  "density": float(dens[idx]),
                                  "scale": comb.scale})
-    return {"grid": int(n_grid), "positive_points": int(len(positive)),
+    return {"grid": _WITNESS_GRID, "positive_points": int(len(positive)),
             "failures": failures, "zero_failures": not failures}
 
 
@@ -609,28 +614,18 @@ def _target_unions(profile: ApproximationProfile, qs: np.ndarray):
     padded with empty intervals, each row's interval count, and #I_q (0
     where psi = 0).  Each q's wrap copies merge as for a lone q: the ends
     are ranked once and each q lifted above the last, so one merge does."""
-    qs = np.asarray(qs, dtype=np.int64)
-    psi = profile.psi_values(qs)
-    ab = np.array([profile.pair(q) for q in qs.tolist()],
-                  dtype=np.int64).reshape(-1, 2)
-    span = np.where(psi > 0.0, qs, 0)
-    own = np.repeat(np.arange(len(qs)), span)
-    p = np.arange(len(own)) - np.repeat(np.cumsum(span) - span, span)
-    live = np.gcd(ab[own, 1] * p + ab[own, 0], qs[own]) == 1
-    own, p = own[live], p[live]
-    c = np.mod((p + profile.theta_values(qs)[own]) / qs[own], 1.0)
-    r = (psi / qs)[own]
-    k, shift = _wrap_copies(c, r)
+    comb = _factor_comb(profile, qs, 0)
+    own, c, shift, r = _cells(comb, 1.0)
     ends, rank = np.unique(np.concatenate([
-        np.maximum(c[k] - r[k] + shift, 0.0),
-        np.minimum(c[k] + r[k] + shift, 1.0)]), return_inverse=True)
+        np.maximum(c - r + shift, 0.0),
+        np.minimum(c + r + shift, 1.0)]), return_inverse=True)
     m = max(len(ends), 1)
-    lo, hi = _merge_intervals(*np.split(rank + m * np.tile(own[k], 2), 2))
-    n = np.bincount(lo // m, minlength=len(qs))
-    out = np.zeros((2, len(qs), n.max(initial=0)))
+    lo, hi = _merge_intervals(*np.split(rank + m * np.tile(own, 2), 2))
+    n = np.bincount(lo // m, minlength=len(comb.qs))
+    out = np.zeros((2, len(comb.qs), n.max(initial=0)))
     out[:, lo // m, np.arange(len(lo)) - np.repeat(np.cumsum(n) - n, n)] = \
         ends[lo % m], ends[hi % m]
-    return out[0], out[1], n, np.bincount(own, minlength=len(qs))
+    return out[0], out[1], n, comb.counts
 
 
 def measure_of_Aq(stage: MeasureStage, q: int,
@@ -640,6 +635,8 @@ def measure_of_Aq(stage: MeasureStage, q: int,
     ``DirectDensity.measure_of_intervals``, the same bits as its row."""
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
+    if q % 1 != 0:                      # also nan and inf
+        raise ValueError(f"modulus must be a whole number, got {q}")
     lo, hi, n, _count = _target_unions(stage.profile, np.array([q]))
     if n[0] == 0:
         return 0.0
@@ -661,10 +658,10 @@ class UpperBoundReport:
     z_direct: float
 
 
-def borel_cantelli_report(stage: MeasureStage, s: float | None = None,
-                          eps: float | None = None,
+def borel_cantelli_report(stage: MeasureStage,
                           n_max: int = 500) -> UpperBoundReport:
-    """Per-q masses against 2 psi (#I_q / q) + (psi/q)^(s - eps).
+    """Per-q masses against 2 psi (#I_q / q) + (psi/q)^(s - eps), with s
+    and eps the stage's own.
 
     Records the one empirical constant (largest measured-to-bound
     ratio), partial sums of both sides, and the largest measured
@@ -672,10 +669,7 @@ def borel_cantelli_report(stage: MeasureStage, s: float | None = None,
     residues takes one ``_target_unions`` and one ``measure_of_intervals``.
     """
     profile = stage.profile
-    if s is None:
-        s = stage.s_value
-    if eps is None:
-        eps = stage.eps
+    s, eps = stage.s_value, stage.eps
     dd = DirectDensity(stage)
     rows = []
     constant = 0.0

@@ -64,7 +64,7 @@ class RunConfig:
     ``upper_q_max`` bounds the upper report's moduli.  The flat keys that
     name ``BuildConfig`` fields go to ``build``, which owns their defaults
     and checks; ``analyze`` reads every build key from the artifact.
-    ``validate`` checks the run keys.
+    Construction checks the run keys, raising ``ProfileError``.
     """
     profile: dict | None = None
     eta: float | None = None
@@ -75,7 +75,7 @@ class RunConfig:
     upper_q_max: int = 500
     build: BuildConfig = field(default_factory=BuildConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.format not in ("json", "csv"):
             raise ProfileError(f"unknown output format {self.format!r}")
         if not isinstance(self.output_dir, str):
@@ -111,9 +111,7 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
     data.update({k: v for k, v in overrides.items()
                  if k in _CONFIG_KEYS and v is not None})
     build = BuildConfig(**{k: data.pop(k) for k in _BUILD_KEYS & set(data)})
-    cfg = RunConfig(**data, build=build)
-    cfg.validate()
-    return cfg
+    return RunConfig(**data, build=build)
 
 
 def _resolve_profile(cfg: RunConfig) -> ApproximationProfile:
@@ -373,10 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     except ArtifactError as exc:
         print(f"error: corrupt artifact {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ProfileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ProfileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except json.JSONDecodeError as exc:

@@ -37,14 +37,6 @@ class WindowExhaustedError(RuntimeError):
     failing selection's probes.
     """
 
-    def __init__(self, message: str, last_scale: int | None = None,
-                 last_gap: float | None = None) -> None:
-        self.last_scale = last_scale
-        self.last_gap = last_gap
+    def __init__(self, message: str) -> None:
         self.partial = None
-        if last_scale is not None:
-            message += f" (largest scale tried: {last_scale}"
-            if last_gap is not None:
-                message += f", gap {last_gap:.6g}"
-            message += ")"
         super().__init__(message)

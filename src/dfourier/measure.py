@@ -713,10 +713,11 @@ def select_next_scale(profile: ApproximationProfile, bump: BumpSpec, eta: float,
                       "remainder_bound": gap.remainder_bound})
         if threshold is None or gap.value <= threshold:
             return gap
-    raise WindowExhaustedError(
-        "no admissible scale satisfies the stability threshold",
-        last_scale=tried[-1]["scale"] if tried else None,
-        last_gap=tried[-1]["gap"] if tried else None)
+    message = "no admissible scale satisfies the stability threshold"
+    if tried:
+        message += (f" (largest scale tried: {tried[-1]['scale']}, "
+                    f"gap {tried[-1]['gap']:.6g})")
+    raise WindowExhaustedError(message)
 
 
 # ----------------------------------------------------------------------
@@ -768,6 +769,12 @@ class BuildConfig:
         return h0_series(self.bump, min(self.tail_tol, 1e-13))
 
 
+# artifact header keys that are MeasureStage fields of the same name
+_HEADER_FIELDS = ("eta", "eps", "stages", "requested_stages", "s_value",
+                  "s_mode", "scales", "c_stab", "gap_log", "normalization",
+                  "uniform_error_bound", "nonneg_min")
+
+
 @dataclass(frozen=True)
 class MeasureStage:
     """Finished build artifact: one coefficient block plus certificates.
@@ -778,6 +785,10 @@ class MeasureStage:
     the integers.  ``density`` (g-product times the window h0) is derived
     from it on first use.  ``gap_log`` holds each stage's probe rows and
     ``factor_summaries`` each factor's ``GmFactor.summary()``, as dicts.
+    ``nonneg_min`` is an uncertified diagnostic, the minimum of a 2**16-point
+    FFT evaluation of the density; its trailing digits move with coefficient
+    rounding (2.0e-5 relative for coefficient moves of 1.1e-16), so compare
+    it only at a loose tolerance.
     """
     profile: ApproximationProfile
     eta: float
@@ -795,6 +806,14 @@ class MeasureStage:
     normalization: float
     uniform_error_bound: float
     nonneg_min: float
+
+    def __post_init__(self) -> None:
+        # the build's lists and a header's JSON arrays, as tuples
+        object.__setattr__(self, "scales", tuple(self.scales))
+        object.__setattr__(self, "gap_log",
+                           tuple(tuple(stage) for stage in self.gap_log))
+        object.__setattr__(self, "factor_summaries",
+                           tuple(self.factor_summaries))
 
     @property
     def complete(self) -> bool:
@@ -818,21 +837,10 @@ class MeasureStage:
 
     def _header(self) -> dict:
         return {
+            **{key: getattr(self, key) for key in _HEADER_FIELDS},
             "format": _ARTIFACT_VERSION,
             "profile": self.profile.to_descriptor(),
-            "eta": self.eta,
-            "eps": self.eps,
-            "stages": self.stages,
-            "requested_stages": self.requested_stages,
-            "s_value": self.s_value,
-            "s_mode": self.s_mode,
-            "scales": self.scales,
-            "c_stab": self.c_stab,
-            "gap_log": self.gap_log,
             "factors": self.factor_summaries,
-            "normalization": self.normalization,
-            "uniform_error_bound": self.uniform_error_bound,
-            "nonneg_min": self.nonneg_min,
             "gfactors_tail_bound": self.gfactors.tail_bound,
             "config": asdict(self.config),
         }
@@ -895,17 +903,10 @@ class MeasureStage:
         block = np.frombuffer(raw, dtype="<c16", count=n, offset=pos)
         return MeasureStage(
             profile=ApproximationProfile.from_descriptor(header["profile"]),
-            eta=header["eta"], eps=header["eps"], stages=header["stages"],
-            requested_stages=header["requested_stages"],
-            config=cfg, s_value=header["s_value"], s_mode=header["s_mode"],
-            scales=tuple(header["scales"]), c_stab=header["c_stab"],
-            gap_log=tuple(tuple(stage) for stage in header["gap_log"]),
-            factor_summaries=tuple(header["factors"]),
+            **{key: header[key] for key in _HEADER_FIELDS}, config=cfg,
+            factor_summaries=header["factors"],
             gfactors=TruncatedFourierSeries(block.astype(np.complex128),
-                                            header["gfactors_tail_bound"]),
-            normalization=header["normalization"],
-            uniform_error_bound=header["uniform_error_bound"],
-            nonneg_min=header["nonneg_min"])
+                                            header["gfactors_tail_bound"]))
 
 
 def _export_band(cfg: BuildConfig, h0: TruncatedFourierSeries) -> int:
@@ -965,9 +966,8 @@ def _finalize(profile: ApproximationProfile, eta: float, eps: float,
         profile=profile, eta=float(eta), eps=float(eps),
         stages=len(factors), requested_stages=requested,
         config=cfg, s_value=s_res.value, s_mode=s_res.mode,
-        scales=tuple(f.scale for f in factors), c_stab=c_stab,
-        gap_log=tuple(tuple(stage) for stage in gap_log),
-        factor_summaries=tuple(f.summary() for f in factors),
+        scales=[f.scale for f in factors], c_stab=c_stab, gap_log=gap_log,
+        factor_summaries=[f.summary() for f in factors],
         gfactors=gf.slice_to(min(_export_band(cfg, h0), gf.half_bandwidth)),
         normalization=float(z),
         uniform_error_bound=float(uniform_error),

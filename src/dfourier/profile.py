@@ -435,8 +435,6 @@ class ApproximationProfile:
         k = int(scale).bit_length() - 1
         if scale != 1 << k:
             raise ProfileError("scale must be a power of two")
-        if not 0.0 < eta < 1.0:
-            raise ProfileError("weight exponent eta must lie in (0, 1)")
         members = self.q_min + np.flatnonzero(self._bucket_labels(eta) == k)
         members.flags.writeable = False
         psi = self.psi_values(members)

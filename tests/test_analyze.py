@@ -436,6 +436,14 @@ def _target_loop(profile, q):
     return lo, hi, rs.count
 
 
+# psi at the largest double below 1/2: neighbouring cells of one q meet in
+# floating point, so the union merges them
+PSI_NEAR_HALF = ApproximationProfile(
+    q_min=2, q_max=64, psi_kind="table",
+    psi_table={q: 0.49999999999999994 for q in range(2, 65)},
+    coprime_kind="unrestricted")
+
+
 @pytest.mark.parametrize("profile", [
     power_law_profile(2.0, 200, q_min=2, theta=0.0005,
                       coprime="unrestricted"),
@@ -449,8 +457,9 @@ def _target_loop(profile, q):
                                     11: 0.3, 12: 0.45, 40: 0.01},
                          theta_kind="table",
                          theta_table={5: 0.99, 11: 0.01, 12: 0.5}),
+    PSI_NEAR_HALF,
 ], ids=["theta-near-0", "theta-near-1", "tau-2.5", "pair-table",
-        "psi-table-with-zero"])
+        "psi-table-with-zero", "psi-near-half"])
 def test_target_unions_match_one_q_loop(profile):
     qs = profile.members()
     lo, hi, n, count = _target_unions(profile, qs)
@@ -464,8 +473,14 @@ def test_target_unions_match_one_q_loop(profile):
         one_lo, one_hi, one_count = _one_union(profile, q)
         assert np.array_equal(one_lo, want_lo)
         assert np.array_equal(one_hi, want_hi) and one_count == want_count
-    if profile.psi_kind == "table":
+    if profile.psi_kind == "table" and 0.0 in dict(profile.psi_table).values():
         assert 0 in n and 0 in count          # the zero radii stay empty
+
+
+def test_target_unions_merge_meeting_cells():
+    # the psi-near-half row above is a real merge: fewer pieces than cells
+    lo, hi, n, count = _target_unions(PSI_NEAR_HALF, PSI_NEAR_HALF.members())
+    assert n.sum() < count.sum()
 
 
 def _composite_mass(dd, lo, hi, h=2.0 ** -17):
@@ -551,6 +566,14 @@ def test_measure_of_Aq_rejects_nonpositive_modulus(st1, dd1):
     for q in (0, -3):
         with pytest.raises(ValueError, match="modulus must be >= 1"):
             measure_of_Aq(st1, q, evaluator=dd1)
+    # a fraction, nan or inf is no modulus either: none may be cast to one
+    for q in (5.7, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"got {q}"):
+            measure_of_Aq(st1, q, evaluator=dd1)
+    # a whole number of any type is the same modulus
+    want = measure_of_Aq(st1, 5, evaluator=dd1)
+    for q in (np.int64(5), 5.0):
+        assert measure_of_Aq(st1, q, evaluator=dd1) == want
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # past the profile's window psi is 0: an empty union, no warning

@@ -13,7 +13,8 @@ import pytest
 
 from dfourier import MeasureStage, ramanujan_sum
 from dfourier.cli import (_CONFIG_KEYS, EXIT_BUDGET, EXIT_OK, EXIT_USAGE,
-                          EXIT_WINDOW, _add_config_flags, main)
+                          EXIT_WINDOW, RunConfig, _add_config_flags, main)
+from dfourier.errors import ProfileError
 
 REFERENCE_CONFIG = str(Path(__file__).resolve().parent.parent
                        / "configs" / "reference.json")
@@ -267,6 +268,7 @@ def test_build_window_exhausted_after_probing(tmp_path, capsys):
     assert main(["build", "--config", cfg]) == EXIT_WINDOW
     captured = capsys.readouterr()
     assert "no admissible scale satisfies the stability threshold" in captured.err
+    assert "(largest scale tried: 16, gap " in captured.err
     assert "stage 2: not completed (1 probed, last scale M=16" in captured.out
     log = json.loads((tmp_path / "t50" / "build_log.json").read_text())
     assert log["status"] == "window-exhausted"
@@ -500,6 +502,15 @@ def test_config_validation_messages(tmp_path, capsys):
         assert "must hold a JSON object" in capsys.readouterr().err
     assert main(["buckets", "--config", str(tmp_path)]) == EXIT_USAGE
     assert "Is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("eps", float("nan")),
+                                        ("format", "yaml"), ("stages", -1),
+                                        ("upper_q_max", 1), ("eta", 1.2)])
+def test_run_config_checks_itself(key, value):
+    # a library caller gets the same checks as a config file
+    with pytest.raises(ProfileError, match=key):
+        RunConfig(**{key: value})
 
 
 def test_import_pulls_in_no_scipy():
