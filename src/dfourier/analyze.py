@@ -440,8 +440,8 @@ def _fine_spikes(combs: list, shrink: float):
     if len(combs) > 1:
         cc, rr, _ = _comb_spikes(combs[-2], shrink)
         lo, hi = _merge_intervals(cc - shrink * rr, cc + shrink * rr)
-        keep = np.unique(_clip_to_union(c - shrink * rate, c + shrink * rate,
-                                        lo, hi)[0])
+        keep = _clip_to_union(c - shrink * rate, c + shrink * rate, lo, hi)[0]
+        keep = keep[np.diff(keep, prepend=-1) > 0]      # sorted by owner
         c, rate, weight = c[keep], rate[keep], weight[keep]
     return c, rate, weight
 
@@ -637,6 +637,8 @@ def measure_of_Aq(stage: MeasureStage, q: int,
         raise ValueError(f"modulus must be >= 1, got {q}")
     if q % 1 != 0:                      # also nan and inf
         raise ValueError(f"modulus must be a whole number, got {q}")
+    if q > stage.profile.q_max:         # no member: psi = 0 past the window
+        return 0.0
     lo, hi, n, _count = _target_unions(stage.profile, np.array([q]))
     if n[0] == 0:
         return 0.0
@@ -676,8 +678,7 @@ def borel_cantelli_report(stage: MeasureStage,
     measured_sum = 0.0
     bound_sum = 0.0
     worst_inc = 0.0
-    qs = profile.members()
-    qs = qs[qs <= n_max]
+    qs = profile.members(n_max)
     for block in np.array_split(qs, 1 + int(qs.sum()) // _UNION_CHUNK):
         lo, hi, n, count = _target_unions(profile, block)
         masses = dd.measure_of_intervals(lo, hi)

@@ -599,7 +599,8 @@ def build_xi_grid(xi_max: float, samples_per_band: int = 32) -> np.ndarray:
         pts.append(np.round(raw * 4.0) / 4.0)
         j += 1
     pts.append(np.array([float(xi_max)]))
-    return np.unique(np.concatenate(pts))
+    grid = np.sort(np.concatenate(pts))   # np.unique would import numpy.ma
+    return grid[np.diff(grid, prepend=-1.0) > 0]
 
 
 def window_samples(coeffs: np.ndarray, xi_grid: np.ndarray, bump: BumpSpec,

@@ -27,6 +27,8 @@ _MEMBER_KINDS = ("all", "list", "residue_classes")
 # relative snap tolerance for bucket boundaries; boundary hits are
 # assigned to the lower bucket index deterministically
 _SNAP_RTOL = 1e-12
+# denominators labelled per pass of the bucket labeller
+_CHUNK = 1 << 16
 
 
 def _freeze_table(table) -> tuple:
@@ -161,7 +163,7 @@ class ApproximationProfile:
                             ("_theta", self.theta_table),
                             ("_pair", self.pair_table)):
             object.__setattr__(self, name, dict(table))
-        # _bucket_labels() per eta, also outside the fields
+        # _bucket_labels() memo per eta: (labels, labelled length)
         object.__setattr__(self, "_labels", {})
         object.__setattr__(self, "member_list",
                            tuple(sorted(int(q) for q in self.member_list)))
@@ -233,9 +235,11 @@ class ApproximationProfile:
             mask &= np.isin(qs, list(self._psi))
         return mask
 
-    def members(self) -> np.ndarray:
-        """Sorted array of all member denominators in the window."""
-        qs = np.arange(self.q_min, self.q_max + 1, dtype=np.int64)
+    def members(self, q_hi: int | None = None) -> np.ndarray:
+        """Sorted array of the member denominators in the window, only
+        those up to ``q_hi`` when it is given."""
+        top = self.q_max if q_hi is None else math.floor(min(q_hi, self.q_max))
+        qs = np.arange(self.q_min, top + 1, dtype=np.int64)
         return qs[self.member_mask(qs)]
 
     # -- the three component maps ---------------------------------------
@@ -383,8 +387,7 @@ class ApproximationProfile:
     def convergence_series_partial(self, n: int, s: float = 1.0) -> float:
         """Partial sum of psi(q)**s weighted by the coprime density, q <= n."""
         total = 0.0
-        qs = self.members()
-        qs = qs[qs <= n]
+        qs = self.members(n)
         psi = self.psi_values(qs)
         for q, p in zip(qs, psi):
             if p <= 0.0:
@@ -395,47 +398,50 @@ class ApproximationProfile:
 
     # -- dyadic buckets ----------------------------------------------------
 
-    def _bucket_index(self, eta: float):
-        """(members with positive radius, bucket index per member)."""
+    def _bucket_labels(self, eta: float, k: int | None = None) -> np.ndarray:
+        """Bucket index (int16, -1 off the members) of each q from q_min up
+        to the reach of bucket k, or of the whole window when k is None.
+
+        Every radius is below 1/2, so u > eta (log2 q + 1) and a q past
+        2**((k + 2)/eta - 1) lies above bucket k.  Chunks of ``_CHUNK``
+        denominators are labelled from q_min up, each once per eta.
+        """
         if not 0.0 < eta < 1.0:
             raise ProfileError("weight exponent eta must lie in (0, 1)")
-        qs = self.members()
+        top = self.q_max if k is None else min(
+            self.q_max, math.floor(2.0 ** min((k + 2) / eta - 1, 63.0)))
+        labels, done = self._labels.get(eta) or (
+            np.full(self.q_max - self.q_min + 1, -1, dtype=np.int16), 0)
+        while self.q_min + done <= top:
+            self._label_chunk(eta, labels, done)
+            done += _CHUNK
+        self._labels[eta] = (labels, done)
+        return labels[:max(top - self.q_min + 1, 0)]
+
+    def _label_chunk(self, eta: float, labels: np.ndarray, start: int) -> None:
+        """labels[start:start + _CHUNK]: u = eta log2(q/psi), snapped to
+        an integer within one part in 1e12, then ceil(u) - 1."""
+        qs = self.q_min + np.arange(start, min(start + _CHUNK, len(labels)))
+        qs = qs[self.member_mask(qs)]
         psi = self.psi_values(qs)
-        keep = psi > 0.0
-        qs, psi = qs[keep], psi[keep]
+        qs, psi = qs[psi > 0.0], psi[psi > 0.0]
         u = eta * (np.log2(qs.astype(float)) - np.log2(psi))
         r = np.round(u)
         snap = np.abs(u - r) <= _SNAP_RTOL * np.maximum(1.0, np.abs(u))
-        k = np.where(snap, r, np.ceil(u)).astype(np.int64) - 1
-        return qs, k
-
-    def _bucket_labels(self, eta: float) -> np.ndarray:
-        """Bucket index of every q in [q_min, q_max], -1 off the members.
-
-        One ``_bucket_index`` pass per eta, kept as int16 (2 bytes per q;
-        an index is below 1200 even at the smallest positive radius), so
-        cutting another bucket does not index the window again.
-        """
-        labels = self._labels.get(eta)
-        if labels is None:
-            qs, idx = self._bucket_index(eta)
-            labels = np.full(self.q_max - self.q_min + 1, -1, dtype=np.int16)
-            labels[qs - self.q_min] = idx
-            self._labels[eta] = labels
-        return labels
+        labels[qs - self.q_min] = np.where(snap, r, np.ceil(u)) - 1
 
     def bucket(self, eta: float, scale: int) -> "Bucket":
         """Members q with (psi(q)/q)**eta in [1/(2M), 1/M), M = ``scale``.
 
         Boundary hits (u within one part in 1e12 of an integer) go to
         the lower bucket, deterministically.  Every call cuts the bucket
-        from the ``_bucket_labels`` of its eta, which index the window
-        once per eta; the member array is read-only.
+        from ``_bucket_labels``, labelled up to the bucket's reach only and
+        each chunk once per eta; the member array is read-only.
         """
         k = int(scale).bit_length() - 1
         if scale != 1 << k:
             raise ProfileError("scale must be a power of two")
-        members = self.q_min + np.flatnonzero(self._bucket_labels(eta) == k)
+        members = self.q_min + np.flatnonzero(self._bucket_labels(eta, k) == k)
         members.flags.writeable = False
         psi = self.psi_values(members)
         mass = float(np.sum((psi / members) ** eta)) if len(members) else 0.0
@@ -461,8 +467,8 @@ class ApproximationProfile:
 
         A scale M = 2**k qualifies when its bucket mass is at least
         1/k**2; it is admissible when it also is not window-limited.
-        Every bucket is cut from the ``_bucket_labels`` of eta, so a
-        profile indexes the window once per eta.
+        It labels the whole window (once per eta, in chunks), and every
+        bucket is cut from those labels.
         """
         top = int(self._bucket_labels(eta).max(initial=0))
         if k_max is not None:

@@ -576,8 +576,10 @@ def test_measure_of_Aq_rejects_nonpositive_modulus(st1, dd1):
         assert measure_of_Aq(st1, q, evaluator=dd1) == want
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # past the profile's window psi is 0: an empty union, no warning
-        assert measure_of_Aq(st1, 10**6 + 1, evaluator=dd1) == 0.0
+        # past the profile's window psi is 0: no mass and no warning, also
+        # for a whole modulus past int64
+        for q in (10**6 + 1, 1e30, 2**70):
+            assert measure_of_Aq(st1, q, evaluator=dd1) == 0.0
 
 
 def _series_mass(stage, q):

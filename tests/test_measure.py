@@ -1,10 +1,13 @@
 """Staged density builder: factors, scale selection, artifacts."""
 import math
+import os
 import struct
+import subprocess
 import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +59,35 @@ def test_xi_grid_properties(xi_max, samples):
     assert grid[-1] == float(xi_max)
     assert np.all(np.diff(grid) > 0)
     assert np.array_equal(grid * 4.0, np.round(grid * 4.0))
+
+
+@pytest.mark.parametrize("xi_max, samples", [
+    (1, 4), (4, 4), (2.5, 32), (1000, 7), (65536, 32), (100_000, 64),
+    (3, 1), (1 << 20, 17)])
+def test_xi_grid_matches_the_unique_oracle(xi_max, samples):
+    # oracle: the same points collapsed by np.unique
+    pts = [np.array([0.0, 0.25, 0.5, 0.75]), np.array([float(xi_max)])]
+    j = 0
+    while (1 << j) < xi_max:
+        raw = 2.0 ** (j + np.arange(samples) / samples)
+        raw = raw[raw <= min(2.0 ** (j + 1), float(xi_max))]
+        pts.append(np.round(raw * 4.0) / 4.0)
+        j += 1
+    want = np.unique(np.concatenate(pts))
+    got = build_xi_grid(xi_max, samples)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_xi_grid_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma (10-15 ms); the grid does without it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from dfourier.measure import build_xi_grid; "
+            "build_xi_grid(65536, 32); print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_xi_grid_rejects_empty_range():

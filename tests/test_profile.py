@@ -1,17 +1,19 @@
 """Approximation profiles: radii, buckets, critical exponent, descriptors."""
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfourier.arith import coprime_density
 from dfourier.bump import BumpSpec
 from dfourier.errors import ProfileError
 from dfourier.measure import build_measure, gm_series
-from dfourier.profile import ApproximationProfile, Bucket, power_law_profile
+from dfourier.profile import (_CHUNK, ApproximationProfile, Bucket,
+                              power_law_profile)
 
 
 @pytest.fixture(scope="module")
@@ -94,64 +96,184 @@ def test_bucket_memo_matches_fresh_profiles():
     assert _same_bucket(clone.bucket(0.5, 8), warm.bucket(0.5, 8))
 
 
+def _whole_window_labels(p, eta):
+    # oracle: one pass over every member of the window, the labels the
+    # chunked labeller must reproduce bit for bit
+    qs = p.members()
+    psi = p.psi_values(qs)
+    qs, psi = qs[psi > 0.0], psi[psi > 0.0]
+    u = eta * (np.log2(qs.astype(float)) - np.log2(psi))
+    r = np.round(u)
+    snap = np.abs(u - r) <= 1e-12 * np.maximum(1.0, np.abs(u))
+    return qs, np.where(snap, r, np.ceil(u)).astype(np.int64) - 1
+
+
+def _oracle_bucket(p, eta, k, qs, idx):
+    members = qs[idx == k]
+    psi = p.psi_values(members)
+    return Bucket(scale=1 << k, k=k, members=members,
+                  mass=float(np.sum((psi / members) ** eta))
+                  if len(members) else 0.0,
+                  window_limited=p._window_limited(eta, k, members))
+
+
+def _count_chunks(monkeypatch):
+    # (profile, eta, first offset) of every chunk the labeller labels
+    seen = []
+    label = ApproximationProfile._label_chunk
+
+    def counted(self, eta, labels, start):
+        seen.append((id(self), eta, start))
+        return label(self, eta, labels, start)
+    monkeypatch.setattr(ApproximationProfile, "_label_chunk", counted)
+    return seen
+
+
+def _reach(eta, k):
+    # log2 of the largest q bucket k can hold: u > eta (log2 q + 1)
+    return (k + 2) / eta - 1
+
+
 def test_scale_set_fills_the_bucket_memo(monkeypatch):
-    # scale_set's admissible buckets are the same floats as fresh
-    # bucket() calls, and a build indexes the window once
+    # scale_set's buckets are the same floats as fresh profiles' bucket()
+    # calls, and a one-stage build labels each chunk of the window once
     warm = power_law_profile(2.0, 50_000, q_min=2, theta=0.3)
-    fresh = power_law_profile(2.0, 50_000, q_min=2, theta=0.3)
     for eta in (0.3, 0.5):
         sset = warm.scale_set(eta, k_max=24)
-        for e in sset.admissible():
+        assert sset.admissible()
+        for e in sset.entries:
+            fresh = power_law_profile(2.0, 50_000, q_min=2, theta=0.3)
+            want = fresh.bucket(eta, e.scale)
             got = warm.bucket(eta, e.scale)
-            assert _same_bucket(got, fresh.bucket(eta, e.scale)), e.scale
+            assert _same_bucket(got, want), e.scale
             assert (got.count, got.mass) == (e.count, e.mass)
             assert not got.members.flags.writeable
     for eta, scale in ((1.5, 8), (0.0, 8), (0.3, 6)):
         with pytest.raises(ProfileError):
             warm.bucket(eta, scale)
 
-    calls = []
-    index = ApproximationProfile._bucket_index
-
-    def counted(self, eta):
-        calls.append(eta)
-        return index(self, eta)
-    monkeypatch.setattr(ApproximationProfile, "_bucket_index", counted)
+    seen = _count_chunks(monkeypatch)
     build_measure(power_law_profile(2.0, 1_000_000, q_min=2, theta=0.3),
                   eta=0.3, eps=0.05, stages=1)
-    assert calls == [0.3]
+    assert len(seen) == len(set(seen))
+    assert {eta for _, eta, _ in seen} == {0.3}
+    # scale_set needs the whole window: every chunk, each once
+    assert sorted(start for _, _, start in seen) == list(
+        range(0, 999_999, _CHUNK))
 
 
 def test_bucket_labels_index_the_window_once_per_eta(monkeypatch):
-    # every bucket is a fresh _bucket_index cut, and gm_series at three
-    # scales indexes the window once
+    # every bucket is the whole-window oracle's cut, and gm_series at
+    # three scales labels each chunk at most once, none past the reach
     warm = power_law_profile(2.0, 50_000, q_min=2, theta=0.3)
     for eta in (0.3, 0.5):
-        qs, idx = warm._bucket_index(eta)
+        qs, idx = _whole_window_labels(warm, eta)
         for k in range(int(idx.max()) + 2):
-            members = qs[idx == k]
-            psi = warm.psi_values(members)
-            want = Bucket(scale=1 << k, k=k, members=members,
-                          mass=float(np.sum((psi / members) ** eta))
-                          if len(members) else 0.0,
-                          window_limited=warm._window_limited(eta, k,
-                                                              members))
+            want = _oracle_bucket(warm, eta, k, qs, idx)
             assert _same_bucket(warm.bucket(eta, 1 << k), want), (eta, k)
-        labels = warm._labels[eta]
+        labels, done = warm._labels[eta]
         assert labels.dtype == np.int16 and labels.nbytes == 2 * 49_999
+        assert done >= 49_999
 
-    calls = []
-    index = ApproximationProfile._bucket_index
-
-    def counted(self, eta):
-        calls.append(eta)
-        return index(self, eta)
-    monkeypatch.setattr(ApproximationProfile, "_bucket_index", counted)
+    seen = _count_chunks(monkeypatch)
     prof = power_law_profile(2.0, 1_000_000, q_min=2, theta=0.3)
     for scale in (4, 8, 16):
         gm_series(prof, BumpSpec(), 0.3, scale, 1e-8, 1 << 26,
                   band_cap=2000)
-    assert calls == [0.3]
+    assert len(seen) == len(set(seen))
+    # M = 16 reaches q = 2**19; the chunks past it stay unlabelled
+    assert [start for _, _, start in seen] == list(
+        range(0, math.floor(2 ** _reach(0.3, 4)) - 1, _CHUNK))
+
+
+def test_bucket_labels_no_chunk_past_its_reach(monkeypatch):
+    # the M = 4 bucket of the reference window needs q <= 2**12.3 only:
+    # one chunk of 16, and the same bucket as a whole-window cut
+    seen = _count_chunks(monkeypatch)
+    prof = power_law_profile(2.0, 1_000_000, q_min=2, theta=0.3)
+    got = prof.bucket(0.3, 4)
+    assert seen == [(id(prof), 0.3, 0)]
+    assert all(prof.q_min + start <= 2 ** _reach(0.3, 2)
+               for _, _, start in seen)
+    qs, idx = _whole_window_labels(prof, 0.3)
+    assert _same_bucket(got, _oracle_bucket(prof, 0.3, 2, qs, idx))
+    # asking again, or for a lower bucket, labels nothing new
+    prof.bucket(0.3, 4)
+    prof.bucket(0.3, 2)
+    assert len(seen) == 1
+    # a very high bucket has a reach past every float; it covers the
+    # window without an overflow
+    assert prof.bucket(0.3, 1 << 400).count == 0
+    assert len(seen) == len(range(0, 999_999, _CHUNK))
+
+
+def _table_profile():
+    rng = np.random.default_rng(7)
+    qs = rng.choice(np.arange(2, 200_000), size=3000, replace=False)
+    psi = rng.uniform(0.0, 0.49, size=len(qs)) ** 3
+    psi[:300] = 0.0
+    psi[300:320] = 0.49
+    return ApproximationProfile(q_min=2, q_max=200_000, psi_kind="table",
+                                psi_table=dict(zip(qs.tolist(),
+                                                   psi.tolist())),
+                                theta_value=0.3)
+
+
+_ORACLE_PROFILES = {
+    "power_law": lambda: power_law_profile(1.5, 300_000, q_min=2),
+    "table": _table_profile,
+    "list": lambda: ApproximationProfile(
+        q_min=3, q_max=250_000, tau=1.0,
+        member_list=tuple(range(3, 250_000, 97)) + (249_999,),
+        member_kind="list"),
+    "residue_classes": lambda: ApproximationProfile(
+        q_min=2, q_max=200_000, tau=2.0, member_kind="residue_classes",
+        member_modulus=7, member_classes=(1, 3, 6)),
+}
+
+
+def _check_against_oracle(kind, eta):
+    # buckets asked for from the lowest up, so the labels grow by chunks
+    # as the reach grows; each is the oracle's cut and ends below its
+    # reach, and scale_set on the same profile agrees with both
+    prof = _ORACLE_PROFILES[kind]()
+    qs, idx = _whole_window_labels(prof, eta)
+    top = int(idx.max()) + 2
+    for k in range(top):
+        got = prof.bucket(eta, 1 << k)
+        assert _same_bucket(got, _oracle_bucket(prof, eta, k, qs, idx)), k
+        if got.count:
+            assert math.log2(got.members[-1]) <= _reach(eta, k)
+    counts = {e.k: e.count for e in prof.scale_set(eta, k_max=top).entries}
+    assert counts == {k: int(np.sum(idx == k)) for k in range(1, top + 1)}
+
+
+@pytest.mark.parametrize("eta", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("kind", sorted(_ORACLE_PROFILES))
+def test_chunked_labels_match_the_whole_window_oracle(kind, eta):
+    _check_against_oracle(kind, eta)
+
+
+@settings(max_examples=8)
+@given(st.sampled_from(sorted(_ORACLE_PROFILES)),
+       st.floats(min_value=0.05, max_value=0.95))
+def test_chunked_labels_match_the_oracle_at_any_eta(kind, eta):
+    _check_against_oracle(kind, eta)
+
+
+def test_bucket_allocations_stay_per_chunk():
+    # a whole-window temporary (about 54 MB on this window) fails here:
+    # bucket(0.3, 4) labels one chunk, scale_set all 16 in turn
+    for call, bound in ((lambda p: p.bucket(0.3, 4), 8e6),
+                        (lambda p: p.scale_set(0.3), 24e6)):
+        prof = power_law_profile(2.0, 1_000_000, q_min=2, theta=0.3)
+        tracemalloc.start()
+        try:
+            call(prof)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 def test_reference_scale_set(reference_profile):
