@@ -1,5 +1,7 @@
 """Arithmetic layer: exponential sums, residue sets, multiplicative helpers."""
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dfourier import arith
 from dfourier.arith import (
     bound_ratio_scan,
     coprime_density,
@@ -43,6 +46,134 @@ def test_small_multiplicative_tables():
     assert divisor_sum(12) == 28
     assert list(divisors(12)) == [1, 2, 3, 4, 6, 12]
     assert list(squarefree_divisors(12)) == [1, 2, 3, 6]
+
+
+def trial_division(n):
+    """Reference factorization: trial division over 2, 3 and the 6k+-1 wheel."""
+    out = []
+    for p in (2, 3):
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+    d = 5
+    step = 2  # alternates 2, 4: visits 5, 7, 11, 13, ...
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += step
+        step = 6 - step
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def _is_prime(n):
+    return trial_division(n) == ((n, 1),)
+
+
+# the uncached body: the bulk checks below neither read nor churn the cache
+_factor = factorize.__wrapped__
+
+
+def test_factorize_matches_trial_division_below_2_18():
+    for n in range(1, 1 << 18):
+        assert _factor(n) == trial_division(n), n
+
+
+def test_factorize_matches_trial_division_around_the_cap():
+    cap = arith._SIEVE_CAP
+    below = next(p for p in range(cap - 1, 0, -1) if _is_prime(p))
+    above = next(p for p in range(cap + 1, 2 * cap) if _is_prime(p))
+    root = math.isqrt(cap)
+    r0 = next(p for p in range(root, 0, -1) if _is_prime(p))
+    r1 = next(p for p in range(root + 1, 2 * root) if _is_prime(p))
+    assert r0 * r0 < cap < r1 * r1
+    cases = [cap - 1, cap, cap + 1, below, above, 2 * below, 2 * above,
+             below * 476_837, above * 476_831,   # cofactors near 10**12 / p
+             r0 * r0, r1 * r1, r0 * r1, r0 * r0 * r1, r1 ** 3,
+             2 ** 39, 10 ** 12, 999_983 * 999_979, 999_983 ** 2]
+    for n in cases:
+        assert n <= 10 ** 12
+        assert _factor(n) == trial_division(n), n
+        assert factorize(n) == trial_division(n), n
+        assert divisor_count(n) == math.prod(
+            e + 1 for _, e in trial_division(n)), n
+    for n in (below * below, below * above):     # past the factor limit
+        with pytest.raises(ValueError):
+            factorize(n)
+
+
+def test_factorize_matches_trial_division_on_random_large_n():
+    rng = random.Random(20261020)
+    for n in (rng.randrange(1, 10 ** 12) for _ in range(2000)):
+        assert _factor(n) == trial_division(n), n
+
+
+def test_divisor_count_matches_trial_division_on_the_criterion_6_range():
+    # 1..312,095 = 1..floor(3 * 32**(1/0.3)), the largest fixture scale
+    for n in range(1, 312_096):
+        want = math.prod(e + 1 for _, e in trial_division(n))
+        assert divisor_count(n) == want, n
+
+
+def test_multiplicative_helpers_reject_non_integers():
+    mobius(6)                          # a cached 6 must not answer for 6.0
+    big = float(2 ** 31 + 11)                   # above the table's cap
+    for call in (lambda: factorize(12.5), lambda: divisor_count(12.5),
+                 lambda: factorize(big), lambda: divisor_count(big),
+                 lambda: mobius(6.0), lambda: divisor_sum(6.0),
+                 lambda: coprime_density(6.0, 1),
+                 lambda: residue_count(6.0, 1)):
+        with pytest.raises(TypeError):
+            call()
+    assert factorize(np.int64(12)) == ((2, 2), (3, 1))
+    assert divisor_count(np.int32(12)) == 6
+    assert mobius(np.uint16(30)) == -1
+    for n in (0, -5, 10 ** 12 + 1):
+        with pytest.raises(ValueError):
+            factorize(n)
+        with pytest.raises(ValueError):
+            divisor_count(n)
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    monkeypatch.setattr(arith, "_table", (memoryview(b""), memoryview(b"")))
+
+
+def test_divisor_counts_grow_the_table_only_as_far_as_asked(fresh_table):
+    cache = factorize.cache_info()              # neither read nor filled
+    for n in range(1, 30_964):                  # the regime fixture at M=16
+        divisor_count(n)
+    assert len(arith._table[0]) <= 1 << 16
+    assert factorize.cache_info() == cache
+
+
+def test_large_n_grows_the_table_to_the_cap_and_no_further(fresh_table):
+    _factor(10 ** 12)
+    assert len(arith._table[0]) == arith._SIEVE_CAP
+    _factor(999_983 * 999_979)
+    divisor_count(10 ** 12 - 11)
+    assert len(arith._table[0]) == arith._SIEVE_CAP
+
+
+def test_first_large_factorization_allocates_under_12_mb(fresh_table):
+    # measured 11.19 MiB peak: the 8 MiB int32 table, its 2 MiB zero mask
+    # and the 1.2 MiB int64 list of its 155,611 primes
+    tracemalloc.start()
+    try:
+        _factor(10 ** 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
 
 
 @given(st.integers(min_value=1, max_value=3000))
