@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -717,10 +717,9 @@ _UPPER_COLUMNS = ("q", "intervals", "total_length", "measured", "bound",
 
 
 def write_report_json(report, path) -> None:
-    """One report or log, a dataclass or a plain dict, as sorted JSON."""
+    """One report or log as sorted JSON, each dataclass as its fields."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(report) if is_dataclass(report) else report, fh,
-                  sort_keys=True, indent=2)
+        json.dump(report, fh, default=vars, sort_keys=True, indent=2)
         fh.write("\n")
 
 

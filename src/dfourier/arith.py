@@ -137,7 +137,8 @@ def squarefree_divisors(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _validate_pair(a: int, b: int) -> None:
+def validate_pair(a: int, b: int) -> None:
+    """Raise ``ValueError`` unless b >= 1 and gcd(a, b) == 1."""
     if b < 1:
         raise ValueError(f"pair requires b >= 1, got b={b}")
     if math.gcd(a, b) != 1:
@@ -173,7 +174,7 @@ def residue_set(q: int, a: int = 0, b: int = 1) -> ResidueSet:
     """
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
-    _validate_pair(a, b)
+    validate_pair(a, b)
     p = np.arange(q, dtype=np.int64)
     mask = np.gcd(b * p + a, q) == 1
     members = p[mask]
@@ -216,7 +217,7 @@ def divisor_hits(q: int, a: int = 0, b: int = 1) -> list[tuple[int, int, int, in
     """
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
-    _validate_pair(a, b)
+    validate_pair(a, b)
     return [(lp, q // lp, mobius(lp), (-a * pow(b, -1, lp)) % lp)
             for lp in squarefree_divisors(q) if math.gcd(lp, b) == 1]
 

@@ -370,7 +370,7 @@ def _cpu_count() -> int:
 
 def assemble_line(data: _MemberTable, bump: BumpSpec, l_lo: int,
                   l_hi: int) -> np.ndarray:
-    """Bucket-averaged coefficient line on the contiguous window [l_lo, l_hi].
+    """Bucket-averaged coefficient line on the window [l_lo, l_hi], l_lo >= 0.
 
     Every in-window term of every member is summed, each member from one
     set of phase and kernel tables per piece.  The window is cut once
@@ -389,6 +389,8 @@ def assemble_line(data: _MemberTable, bump: BumpSpec, l_lo: int,
     only: not on the CPU count, the run length, the order in which jobs
     finish, or where a piece ends.
     """
+    if l_lo < 0:            # the phase tables are exact for j >= 0 only
+        raise ValueError(f"frequency window starts at {l_lo} < 0")
     if l_hi < l_lo:
         raise ValueError("empty frequency window")
     if not data.members:
@@ -439,12 +441,18 @@ def assemble_line(data: _MemberTable, bump: BumpSpec, l_lo: int,
     return line
 
 
-def _mirror_half_line(half: np.ndarray) -> np.ndarray:
-    """Extend coefficients on [0, L] to [-L, L] by Hermitian symmetry."""
-    L = len(half) - 1
+def _full_line(data: _MemberTable, bump: BumpSpec, L: int,
+               centre: float) -> np.ndarray:
+    """The bucket average on [-L, L], with ``centre`` at l = 0.
+
+    Each factor is real, so [0, L] is assembled and mirrored by
+    c(-l) = conj c(l): the one producer of negative frequencies.
+    """
+    half = assemble_line(data, bump, 0, L)
     full = np.empty(2 * L + 1, dtype=half.dtype)
     full[L:] = half
     np.conjugate(half[:0:-1], out=full[:L])
+    full[L] = centre
     return full
 
 
@@ -565,12 +573,9 @@ def gm_series(profile: ApproximationProfile, bump: BumpSpec, eta: float,
         raise BandwidthBudgetError(2 * L + 1, budget,
                                    f"factor at scale {scale}")
     L = min(L, cap)
-    half = assemble_line(data, bump, 0, L)
-    coeffs = _mirror_half_line(half)
     # the center coefficient is exactly 1 per member (S(q,0) = #I_q), so
     # write the exact mean rather than the per-divisor rounded sum
-    coeffs[L] = 1.0
-    series = TruncatedFourierSeries(coeffs,
+    series = TruncatedFourierSeries(_full_line(data, bump, L, 1.0),
                                     tail_bound=envelope_tail(data, bump, L))
     return GmFactor(scale=scale, k=bucket.k, count=bucket.count,
                     mass=bucket.mass, series=series, complete=complete)
@@ -636,18 +641,9 @@ def window_samples(coeffs: np.ndarray, xi_grid: np.ndarray, bump: BumpSpec,
     return out
 
 
-@dataclass(frozen=True)
-class GapResult:
-    """Weighted perturbation sup over the grid plus coverage remainder."""
-    value: float
-    xi_argmax: float
-    remainder_bound: float
-    scale: int
-
-
 def stability_gap(profile: ApproximationProfile, bump: BumpSpec, eta: float,
                   eps: float, scale: int, periodic: TruncatedFourierSeries,
-                  xi_grid: np.ndarray, kernel_halfwidth: int) -> GapResult:
+                  xi_grid: np.ndarray, kernel_halfwidth: int) -> dict:
     """Weighted sup over the grid of the candidate-induced perturbation.
 
     ``periodic`` is the series of the g-product accumulated so far,
@@ -656,7 +652,8 @@ def stability_gap(profile: ApproximationProfile, bump: BumpSpec, eta: float,
     where hhat is the transform of (g-product times h0), so the window
     enters exactly once, through its closed-form transform: the
     candidate-times-periodic product is formed once and sampled by
-    ``window_samples``.  The weight is (1 + |xi|)**(eta - eps).
+    ``window_samples``.  The weight is (1 + |xi|)**(eta - eps).  Returns
+    the probe's log row: scale, gap, xi_argmax and remainder_bound.
     """
     _, data = _bucket_data(profile, eta, scale)
     d_h = int(kernel_halfwidth)
@@ -664,9 +661,7 @@ def stability_gap(profile: ApproximationProfile, bump: BumpSpec, eta: float,
     xi_top = int(math.ceil(float(xi_grid[-1])))
     l_c = xi_top + l_g + d_h
 
-    half = assemble_line(data, bump, 0, l_c)
-    cand = _mirror_half_line(half)
-    cand[l_c] = 0.0                      # remove the l = 0 term
+    cand = _full_line(data, bump, l_c, 0.0)     # without the l = 0 term
     cand_l1 = float(np.sum(np.abs(cand)))
 
     prod = series_multiply(TruncatedFourierSeries(cand), periodic)
@@ -684,36 +679,35 @@ def stability_gap(profile: ApproximationProfile, bump: BumpSpec, eta: float,
     linf = float(np.mean(data.sigma_q / data.counts))
     rem = (2.0 * linf * cur_l1 * bump.window_tail_sum(d_h - 1)
            + cand_l1 * cur_l1 * float(bump.window_envelope(d_h))) * w_max
-    return GapResult(value=float(weighted[i]), xi_argmax=float(xi_grid[i]),
-                     remainder_bound=rem, scale=scale)
+    return {"scale": scale, "gap": float(weighted[i]),
+            "xi_argmax": float(xi_grid[i]), "remainder_bound": rem}
 
 
 def select_next_scale(profile: ApproximationProfile, bump: BumpSpec, eta: float,
                       eps: float, scale_entries, prev_scale: int,
                       threshold: float | None,
                       periodic: TruncatedFourierSeries, xi_grid: np.ndarray,
-                      kernel_halfwidth: int, gap_log: list) -> GapResult:
+                      kernel_halfwidth: int, gap_log: list) -> dict:
     """First admissible scale past 2*prev_scale whose gap clears the threshold.
 
     ``threshold`` is None on the opening stage, where the first candidate
     is accepted unconditionally and its gap calibrates the later stages.
     The stage's probe rows go to ``gap_log`` before the first probe, so
-    the log holds them however the selection ends.  Exhausting the
-    admissible list raises ``WindowExhaustedError`` with the largest
-    scale tried and its gap.
+    the log holds them however the selection ends; the accepted row is
+    returned.  Exhausting the admissible list raises
+    ``WindowExhaustedError`` with the largest scale tried and its gap.
     """
     tried: list[dict] = []
     gap_log.append(tried)
     for entry in scale_entries:
         if entry.scale <= 2 * prev_scale:
             continue
-        gap = stability_gap(profile, bump, eta, eps, entry.scale, periodic,
-                            xi_grid, kernel_halfwidth)
-        tried.append({"threshold": threshold, "scale": entry.scale,
-                      "gap": gap.value, "xi_argmax": gap.xi_argmax,
-                      "remainder_bound": gap.remainder_bound})
-        if threshold is None or gap.value <= threshold:
-            return gap
+        row = {"threshold": threshold,
+               **stability_gap(profile, bump, eta, eps, entry.scale, periodic,
+                               xi_grid, kernel_halfwidth)}
+        tried.append(row)
+        if threshold is None or row["gap"] <= threshold:
+            return row
     message = "no admissible scale satisfies the stability threshold"
     if tried:
         message += (f" (largest scale tried: {tried[-1]['scale']}, "
@@ -1022,26 +1016,27 @@ def build_measure(profile: ApproximationProfile, eta: float | None = None,
     try:
         for stage in range(1, stages + 1):
             threshold = None if stage == 1 else c_stab * 2.0 ** (-stage)
-            gap = select_next_scale(
+            probe = select_next_scale(
                 profile, bump, eta, eps, entries,
                 factors[-1].scale if factors else 0, threshold, gprod,
                 xi_grid, cfg.kernel_halfwidth, gap_log)
             if stage == 1:
-                c_stab = 2.0 * gap.value
+                c_stab = 2.0 * probe["gap"]
             band_cap = None
             if stage == stages:
                 # the analyzer consumes |xi| <= xi_max; anything the final
                 # factor would add beyond the core band reaches that window
                 # only through the kernel envelope across the guard margin
                 reach = gprod.half_bandwidth + h0.half_bandwidth
-                band_cap = (reach + cfg.xi_max + 2 * cfg.kernel_halfwidth
-                            + cfg.band_margin)
+                band_cap = (_export_band(cfg, h0) + gprod.half_bandwidth
+                            + cfg.kernel_halfwidth)
                 if (cfg.bandwidth_budget - 1) // 2 < reach + band_cap:
                     raise BandwidthBudgetError(2 * (reach + band_cap) + 1,
                                                cfg.bandwidth_budget,
                                                "final stage product")
-            factor = gm_series(profile, bump, eta, gap.scale, cfg.tail_tol,
-                               cfg.bandwidth_budget, band_cap=band_cap)
+            factor = gm_series(profile, bump, eta, probe["scale"],
+                               cfg.tail_tol, cfg.bandwidth_budget,
+                               band_cap=band_cap)
             gprod = series_multiply(gprod, factor.series, prod_budget,
                                     where=f"stage {stage} product").symmetrized()
             factors.append(factor)

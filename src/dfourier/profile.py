@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .arith import coprime_density, _validate_pair
+from .arith import coprime_density, validate_pair
 from .errors import ProfileError
 
 _PSI_KINDS = ("power_law", "table")
@@ -209,7 +209,7 @@ class ApproximationProfile:
 
         for q, (a, b) in self.pair_table:
             try:
-                _validate_pair(a, b)
+                validate_pair(a, b)
             except ValueError as exc:
                 raise ProfileError(f"bad coprimality pair at q={q}: {exc}") from exc
 

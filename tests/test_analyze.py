@@ -670,6 +670,18 @@ def test_json_writer_round_trips(r1, tmp_path):
                                 for k, v in asdict(r1).items()}
 
 
+@pytest.mark.parametrize("name", ["st1", "st2"])
+def test_json_writer_matches_the_asdict_oracle(request, tmp_path, name):
+    # json.dumps of asdict's deep copy is the oracle for the in-place writer
+    stage = request.getfixturevalue(name)
+    path = tmp_path / "report.json"
+    for report in (decay_report(stage),
+                   borel_cantelli_report(stage, n_max=100)):
+        write_report_json(report, path)
+        assert path.read_text() == json.dumps(
+            asdict(report), sort_keys=True, indent=2) + "\n"
+
+
 def test_json_writer_takes_a_plain_dict(tmp_path):
     path = tmp_path / "log.json"
     write_report_json({"b": (1, 2), "a": None}, path)

@@ -1,5 +1,6 @@
 """End-to-end command line checks driven through main()."""
 import argparse
+import ast
 import json
 import os
 import re
@@ -165,6 +166,19 @@ def test_buckets_bad_k_range_is_usage_error(tmp_path, capsys, k_range):
     assert "--k-range" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["buckets", "build"])
+def test_out_of_memory_is_usage_error(tmp_path, capsys, command):
+    # labelling a window of 2**62 denominators asks for exbibytes, more
+    # than the address space, so the allocation fails at once
+    cfg = tiny_config(tmp_path, 2**62, stages=1)
+    assert main([command, "--config", cfg,
+                 "--output-dir", str(tmp_path / "o")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_buckets_needs_profile(tmp_path, capsys):
@@ -511,6 +525,17 @@ def test_run_config_checks_itself(key, value):
     # a library caller gets the same checks as a config file
     with pytest.raises(ProfileError, match=key):
         RunConfig(**{key: value})
+
+
+def test_no_module_imports_a_private_name():
+    # a name that another module needs is public in the module defining it
+    src = Path(__file__).resolve().parent.parent / "src" / "dfourier"
+    private = [(path.name, node.module, alias.name)
+               for path in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_import_pulls_in_no_scipy():

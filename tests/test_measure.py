@@ -609,6 +609,17 @@ def test_assemble_line_rejects_inexact_phase_range(reference_profile):
         assemble_line(data, BUMP, 1 << 26, 1 << 26)
 
 
+@pytest.mark.parametrize("l_lo, l_hi", [(-1, -1), (-100, 100), (-5000, 0)])
+def test_assemble_line_rejects_negative_frequencies(reference_profile, l_lo,
+                                                    l_hi):
+    # the phase tables are exact for j >= 0 only; negative frequencies come
+    # from mirroring the half line
+    data = _member_data(reference_profile,
+                        reference_profile.bucket(ETA, 16).members)
+    with pytest.raises(ValueError, match="< 0"):
+        assemble_line(data, BUMP, l_lo, l_hi)
+
+
 def _scalar_tail_sum(bump, rate, start):
     """BumpSpec.envelope_tail_sum as the scalar formula in Python floats."""
     m = bump.order
@@ -678,11 +689,13 @@ def test_opening_gap_anchor(reference_profile):
     grid = build_xi_grid(65536, 32)
     gap = stability_gap(reference_profile, BUMP, ETA, EPS, 4,
                         constant_series(1.0), grid, kernel_halfwidth=64)
-    assert gap.scale == 4
-    assert gap.value == pytest.approx(1.725756431926317, rel=1e-12)
-    assert gap.xi_argmax == 169.75
-    assert gap.remainder_bound == pytest.approx(9.395187334614851e-12, rel=1e-6)
-    assert gap.remainder_bound < 1e-9 * gap.value
+    assert set(gap) == {"scale", "gap", "xi_argmax", "remainder_bound"}
+    assert gap["scale"] == 4
+    assert gap["gap"] == pytest.approx(1.725756431926317, rel=1e-12)
+    assert gap["xi_argmax"] == 169.75
+    assert gap["remainder_bound"] == pytest.approx(9.395187334614851e-12,
+                                                   rel=1e-6)
+    assert gap["remainder_bound"] < 1e-9 * gap["gap"]
 
 
 def test_probe_log_records_the_selection_path(st2):
