@@ -67,7 +67,7 @@ from .profile import ApproximationProfile
 from .series import TruncatedFourierSeries, constant_series, series_multiply
 
 _ARTIFACT_MAGIC = b"DFMS"
-_ARTIFACT_VERSION = 2
+_ARTIFACT_VERSION = 3
 
 # assemble_line cuts a half-line into one piece per available CPU, none
 # shorter than _MIN_SPAN frequencies.  Each piece pays every member's
@@ -441,21 +441,6 @@ def assemble_line(data: _MemberTable, bump: BumpSpec, l_lo: int,
     return line
 
 
-def _full_line(data: _MemberTable, bump: BumpSpec, L: int,
-               centre: float) -> np.ndarray:
-    """The bucket average on [-L, L], with ``centre`` at l = 0.
-
-    Each factor is real, so [0, L] is assembled and mirrored by
-    c(-l) = conj c(l): the one producer of negative frequencies.
-    """
-    half = assemble_line(data, bump, 0, L)
-    full = np.empty(2 * L + 1, dtype=half.dtype)
-    full[L:] = half
-    np.conjugate(half[:0:-1], out=full[:L])
-    full[L] = centre
-    return full
-
-
 def envelope_tail(data: _MemberTable, bump: BumpSpec,
                   half_bandwidth: int) -> float:
     """Certified l1 bound on the bucket average outside [-L, L].
@@ -524,8 +509,8 @@ def h0_series(bump: BumpSpec, tail_tol: float) -> TruncatedFourierSeries:
     if L > 10**6:
         raise ProfileError(f"config key tail_tol: the window tail does not "
                            f"reach {tail_tol!r} within 10**6 frequencies")
-    coeffs = bump.window_transform(np.arange(-L, L + 1, dtype=float))
-    return TruncatedFourierSeries(coeffs, tail_bound=2.0 * bump.window_tail_sum(L))
+    half = bump.window_transform(np.arange(L + 1, dtype=float))
+    return TruncatedFourierSeries.from_half(half, 2.0 * bump.window_tail_sum(L))
 
 
 @dataclass(frozen=True)
@@ -575,8 +560,9 @@ def gm_series(profile: ApproximationProfile, bump: BumpSpec, eta: float,
     L = min(L, cap)
     # the center coefficient is exactly 1 per member (S(q,0) = #I_q), so
     # write the exact mean rather than the per-divisor rounded sum
-    series = TruncatedFourierSeries(_full_line(data, bump, L, 1.0),
-                                    tail_bound=envelope_tail(data, bump, L))
+    half = assemble_line(data, bump, 0, L)
+    half[0] = 1.0
+    series = TruncatedFourierSeries.from_half(half, envelope_tail(data, bump, L))
     return GmFactor(scale=scale, k=bucket.k, count=bucket.count,
                     mass=bucket.mass, series=series, complete=complete)
 
@@ -661,10 +647,11 @@ def stability_gap(profile: ApproximationProfile, bump: BumpSpec, eta: float,
     xi_top = int(math.ceil(float(xi_grid[-1])))
     l_c = xi_top + l_g + d_h
 
-    cand = _full_line(data, bump, l_c, 0.0)     # without the l = 0 term
-    cand_l1 = float(np.sum(np.abs(cand)))
+    half = assemble_line(data, bump, 0, l_c)
+    half[0] = 0.0                               # without the l = 0 term
+    cand = TruncatedFourierSeries.from_half(half)
 
-    prod = series_multiply(TruncatedFourierSeries(cand), periodic)
+    prod = series_multiply(cand, periodic)
     vals = np.abs(window_samples(prod.coeffs, xi_grid, bump, d_h))
     weights = (1.0 + xi_grid) ** (eta - eps)
     weighted = vals * weights
@@ -678,7 +665,7 @@ def stability_gap(profile: ApproximationProfile, bump: BumpSpec, eta: float,
     cur_l1 = periodic.sup_bound()
     linf = float(np.mean(data.sigma_q / data.counts))
     rem = (2.0 * linf * cur_l1 * bump.window_tail_sum(d_h - 1)
-           + cand_l1 * cur_l1 * float(bump.window_envelope(d_h))) * w_max
+           + cand.l1_norm() * cur_l1 * float(bump.window_envelope(d_h))) * w_max
     return {"scale": scale, "gap": float(weighted[i]),
             "xi_argmax": float(xi_grid[i]), "remainder_bound": rem}
 
@@ -824,7 +811,7 @@ class MeasureStage:
         cut; the product's tail bound prices that.
         """
         h0 = self.config.h0()
-        full = series_multiply(self.gfactors, h0).symmetrized()
+        full = series_multiply(self.gfactors, h0)
         return full.slice_to(min(_export_band(self.config, h0),
                                  full.half_bandwidth))
 
@@ -843,13 +830,14 @@ class MeasureStage:
     def save(self, path) -> None:
         """Write the stage to one self-describing binary file.
 
-        Magic, header length, JSON header, the ``gfactors`` block as
-        little-endian complex128, then a CRC-32 of every byte before it.
+        Magic, header length, JSON header, the [0, L] half of ``gfactors``
+        as little-endian complex128, then a CRC-32 of every byte before it.
         """
         header = json.dumps(self._header(), sort_keys=True,
                             separators=(",", ":")).encode()
+        half = self.gfactors.coeffs[self.gfactors.half_bandwidth:]
         body = b"".join((_ARTIFACT_MAGIC, struct.pack("<Q", len(header)),
-                         header, self.gfactors.coeffs.astype("<c16").tobytes()))
+                         header, half.astype("<c16").tobytes()))
         with open(path, "wb") as fh:
             fh.write(body + zlib.crc32(body).to_bytes(4, "little"))
 
@@ -859,7 +847,7 @@ class MeasureStage:
 
         Raises ``ArtifactError`` for anything but one intact artifact: a
         bad magic, an undecodable or malformed header, another format, a
-        block of the wrong size, or a checksum mismatch.
+        block of the wrong size or with a complex c(0), or a checksum mismatch.
         """
         raw = Path(path).read_bytes()
         if raw[:4] != _ARTIFACT_MAGIC:
@@ -885,7 +873,7 @@ class MeasureStage:
             raise ArtifactError(f"artifact format {fmt!r} is not "
                                 f"{_ARTIFACT_VERSION}; rebuild the stage")
         n, rest = divmod(len(raw) - pos - 4, 16)
-        if n < 1 or n % 2 == 0 or rest:
+        if n < 1 or rest:
             raise ArtifactError(f"{len(raw) - pos} bytes after the header "
                                 f"are not one coefficient block and checksum")
         if zlib.crc32(raw[:-4]).to_bytes(4, "little") != raw[-4:]:
@@ -895,13 +883,15 @@ class MeasureStage:
         if set(cfg_d) != set(keys) or set(cfg_d["bump"]) != set(keys["bump"]):
             raise ArtifactError("header config keys differ from BuildConfig")
         cfg = BuildConfig(**{**cfg_d, "bump": BumpSpec(**cfg_d["bump"])})
-        block = np.frombuffer(raw, dtype="<c16", count=n, offset=pos)
+        try:
+            gfactors = TruncatedFourierSeries.from_half(
+                np.frombuffer(raw, "<c16", n, pos), header["gfactors_tail_bound"])
+        except ValueError as exc:
+            raise ArtifactError(f"gfactors: {exc}") from None
         return MeasureStage(
             profile=ApproximationProfile.from_descriptor(header["profile"]),
             **{key: header[key] for key in _HEADER_FIELDS}, config=cfg,
-            factor_summaries=header["factors"],
-            gfactors=TruncatedFourierSeries(block.astype(np.complex128),
-                                            header["gfactors_tail_bound"]))
+            factor_summaries=header["factors"], gfactors=gfactors)
 
 
 def _export_band(cfg: BuildConfig, h0: TruncatedFourierSeries) -> int:
@@ -937,7 +927,7 @@ def _finalize(profile: ApproximationProfile, eta: float, eps: float,
               c_stab: float) -> MeasureStage:
     """Assemble the artifact for whatever prefix of stages completed."""
     current = series_multiply(gprod, h0, cfg.bandwidth_budget,
-                              where="density product").symmetrized()
+                              where="density product")
 
     # normalization: the density series mean must be exactly 1
     z = current.coeff(0).real
@@ -956,7 +946,7 @@ def _finalize(profile: ApproximationProfile, eta: float, eps: float,
     uniform_error = err / z
 
     density = TruncatedFourierSeries(current.coeffs / z)
-    nonneg_min = float(density.evaluate_on_regular_grid(1 << 16).real.min())
+    nonneg_min = float(density.evaluate_on_regular_grid(1 << 16).min())
     return MeasureStage(
         profile=profile, eta=float(eta), eps=float(eps),
         stages=len(factors), requested_stages=requested,
@@ -1038,7 +1028,7 @@ def build_measure(profile: ApproximationProfile, eta: float | None = None,
                                cfg.tail_tol, cfg.bandwidth_budget,
                                band_cap=band_cap)
             gprod = series_multiply(gprod, factor.series, prod_budget,
-                                    where=f"stage {stage} product").symmetrized()
+                                    where=f"stage {stage} product")
             factors.append(factor)
     except (BandwidthBudgetError, WindowExhaustedError) as exc:
         exc.partial = _finalize(profile, eta, eps, stages, cfg, s_res,

@@ -1,14 +1,14 @@
-"""Banded Fourier series with explicit tail bookkeeping.
+"""Banded Fourier series of real functions, with explicit tail bookkeeping.
 
-Coefficients live on the symmetric integer band [-L, L] as a dense
-complex array of odd length 2L+1; ``tail_bound`` is a certified upper
-bound on the l1 mass of everything outside the band.  Products track
-tails with the cross formula tail_a*l1_b + tail_b*l1_a + tail_a*tail_b,
-which stays a true bound under truncation of either factor.
+Coefficients live on the integer band [-L, L] as a dense complex array
+of odd length 2L+1, c(-l) = conj c(l) written by ``from_half`` alone;
+``tail_bound`` is a certified bound on the l1 mass outside the band.
+Products multiply the [0, L] halves with real FFTs and bound the tail by
+tail_a*l1_b + tail_b*l1_a + tail_a*tail_b, true under truncation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +51,18 @@ class TruncatedFourierSeries:
         if self.tail_bound < 0.0:
             raise ValueError("tail_bound must be nonnegative")
 
+    @classmethod
+    def from_half(cls, half, tail_bound: float = 0.0) -> "TruncatedFourierSeries":
+        """c(l) = half[l] on [0, L], c(-l) = conj c(l); c(0) must be real."""
+        half = np.asarray(half, dtype=np.complex128)
+        if half[0].imag != 0.0:
+            raise ValueError(f"c(0) = {half[0]!r} must be real")
+        L = len(half) - 1
+        full = np.empty(2 * L + 1, dtype=np.complex128)
+        full[L:] = half
+        np.conjugate(half[:0:-1], out=full[:L])
+        return cls(full, tail_bound)
+
     @property
     def half_bandwidth(self) -> int:
         return (len(self.coeffs) - 1) // 2
@@ -76,11 +88,6 @@ class TruncatedFourierSeries:
         """Max deviation from c(-l) == conj(c(l)); 0 for real densities."""
         return float(np.max(np.abs(self.coeffs - np.conj(self.coeffs[::-1]))))
 
-    def symmetrized(self) -> "TruncatedFourierSeries":
-        """Project onto exact Hermitian symmetry (real-valued function)."""
-        c = 0.5 * (self.coeffs + np.conj(self.coeffs[::-1]))
-        return replace(self, coeffs=c)
-
     def slice_to(self, half_bandwidth: int) -> "TruncatedFourierSeries":
         """Restrict (or zero-pad) to [-half_bandwidth, half_bandwidth].
 
@@ -100,7 +107,7 @@ class TruncatedFourierSeries:
                                       self.tail_bound + dropped)
 
     def evaluate_on_regular_grid(self, n: int) -> np.ndarray:
-        """Values at x = j/n, j = 0..n-1, via band folding and one inverse FFT.
+        """Real values at x = j/n, j = 0..n-1, via band folding and one irfft.
 
         Exact for the banded part; the neglected tail is bounded by
         ``tail_bound`` uniformly in x.
@@ -113,35 +120,38 @@ class TruncatedFourierSeries:
         folded = np.pad(self.coeffs, (0, pad)).reshape(-1, n).sum(axis=0)
         # stored index 0 is frequency -L; realign to frequency 0 mod n
         folded = np.roll(folded, -(L % n))
-        return np.fft.ifft(folded) * n
+        return np.fft.irfft(folded[:n // 2 + 1], n, norm="forward")
 
 
-def constant_series(value: complex = 1.0) -> TruncatedFourierSeries:
-    """The series of a constant function (single coefficient at 0)."""
-    return TruncatedFourierSeries(np.array([value], dtype=np.complex128))
+def constant_series(value: float = 1.0) -> TruncatedFourierSeries:
+    """The series of a real constant function (single coefficient at 0)."""
+    return TruncatedFourierSeries(np.array([float(value)], dtype=np.complex128))
 
 
 def series_multiply(a: TruncatedFourierSeries, b: TruncatedFourierSeries,
                     budget: int | None = None,
                     where: str = "series product") -> TruncatedFourierSeries:
-    """Product of two banded series by coefficient convolution.
+    """Product of two banded series of real functions.
 
-    The result band is [-(La+Lb), La+Lb]; when ``budget`` is given and
-    the band would need more than that many coefficients, raise
-    ``BandwidthBudgetError`` instead of allocating.  The convolution is a
-    zero-padded FFT product at the next fast length (a direct one when
-    either factor is a single coefficient).  The tail bound is the cross
-    formula, a true bound for the product of the two periodic functions.
+    The result band is [-(La+Lb), La+Lb]; a band of more than
+    ``budget`` coefficients raises ``BandwidthBudgetError`` before any
+    allocation, a non-Hermitian factor ``ValueError``.  The [0, La+Lb]
+    half is the ``rfft`` of the product of the ``irfft`` samples of the
+    two [0, L] halves at the next fast length (a direct convolution when
+    a factor is one coefficient); the tail is the cross formula.
     """
     width = len(a.coeffs) + len(b.coeffs) - 1
     if budget is not None and width > budget:
         raise BandwidthBudgetError(width, budget, where)
+    if a.hermitian_defect() or b.hermitian_defect():
+        raise ValueError(f"{where}: a factor is not the series of a real function")
     if len(a.coeffs) == 1 or len(b.coeffs) == 1:
-        coeffs = np.convolve(a.coeffs, b.coeffs)
+        half = np.convolve(a.coeffs, b.coeffs)[width // 2:]
     else:
         n = _fast_len(width)
-        coeffs = np.fft.ifft(np.fft.fft(a.coeffs, n)
-                             * np.fft.fft(b.coeffs, n))[:width]
+        samples = (np.fft.irfft(a.coeffs[a.half_bandwidth:], n, norm="forward")
+                   * np.fft.irfft(b.coeffs[b.half_bandwidth:], n, norm="forward"))
+        half = np.fft.rfft(samples, norm="forward")[:width // 2 + 1]
     tail = (a.tail_bound * b.l1_norm() + b.tail_bound * a.l1_norm()
             + a.tail_bound * b.tail_bound)
-    return TruncatedFourierSeries(coeffs, tail)
+    return TruncatedFourierSeries.from_half(half, tail)

@@ -213,16 +213,26 @@ def test_series_validation():
         TruncatedFourierSeries(np.ones((3, 3)))
     with pytest.raises(ValueError):
         TruncatedFourierSeries(np.array([1.0]), tail_bound=-1e-9)
+    with pytest.raises(TypeError):      # a constant series is real
+        constant_series(1j)
 
 
-def test_symmetrized_projects_and_fixes():
-    s = TruncatedFourierSeries(np.array([1 + 1j, 2.0, 3 - 1j]))
-    assert s.hermitian_defect() > 0.0
-    sym = s.symmetrized()
-    assert sym.hermitian_defect() == 0.0
-    assert sym.coeff(1) == np.conj(sym.coeff(-1))
-    again = sym.symmetrized()
-    assert np.array_equal(again.coeffs, sym.coeffs)
+def test_from_half_mirrors_exactly():
+    rng = np.random.default_rng(3)
+    half = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    half[0] = 2.5
+    s = TruncatedFourierSeries.from_half(half, tail_bound=0.25)
+    assert s.half_bandwidth == 5 and s.tail_bound == 0.25
+    assert s.coeffs[5:].tobytes() == half.tobytes()
+    assert s.coeffs[:5].tobytes() == np.conj(half[:0:-1]).tobytes()
+    assert s.hermitian_defect() == 0.0
+    with pytest.raises(ValueError, match="must be real"):
+        TruncatedFourierSeries.from_half(np.array([1.0 + 1e-300j, 2.0]))
+    # a Hermitian series is its own half's mirror, bit for bit
+    h = TruncatedFourierSeries(np.array([1 - 2j, 0.5j, 3.0, complex(0, -0.5),
+                                         1 + 2j]))
+    back = TruncatedFourierSeries.from_half(h.coeffs[2:])
+    assert back.coeffs.tobytes() == h.coeffs.tobytes()
 
 
 def test_slice_to_bookkeeping():
@@ -243,12 +253,15 @@ def test_slice_to_bookkeeping():
 
 def test_evaluate_on_regular_grid_matches_direct_sum():
     rng = np.random.default_rng(7)
-    c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    s = TruncatedFourierSeries(c)
+    half = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    half[0] = half[0].real
+    s = TruncatedFourierSeries.from_half(half)
+    c = s.coeffs
     L = s.half_bandwidth
     ls = np.arange(-L, L + 1)
     for n in (4, 9, 16):  # folding kicks in for n < 2L+1
         got = s.evaluate_on_regular_grid(n)
+        assert got.dtype == np.float64
         x = np.arange(n) / n
         direct = (c[None, :] * np.exp(2j * math.pi * x[:, None] * ls)).sum(axis=1)
         assert np.max(np.abs(got - direct)) < 1e-12
@@ -260,16 +273,18 @@ def test_evaluate_on_regular_grid_matches_direct_sum():
 # products
 # ----------------------------------------------------------------------
 
-complex_lists = st.lists(
-    st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
-    min_size=1, max_size=9,
-).filter(lambda c: len(c) % 2 == 1)
+# [0, L] halves of real functions: a real c(0), then complex c(1..L)
+half_lines = st.tuples(
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.lists(st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                allow_infinity=False), max_size=4),
+).map(lambda h: [complex(h[0])] + h[1])
 
 
-@given(complex_lists, complex_lists)
+@given(half_lines, half_lines)
 def test_multiply_matches_convolution(a, b):
-    sa = TruncatedFourierSeries(np.array(a), tail_bound=0.125)
-    sb = TruncatedFourierSeries(np.array(b), tail_bound=0.0625)
+    sa = TruncatedFourierSeries.from_half(np.array(a), tail_bound=0.125)
+    sb = TruncatedFourierSeries.from_half(np.array(b), tail_bound=0.0625)
     prod = series_multiply(sa, sb)
     assert prod.half_bandwidth == sa.half_bandwidth + sb.half_bandwidth
     oracle = np.convolve(sa.coeffs, sb.coeffs)
@@ -286,6 +301,14 @@ def test_multiply_respects_budget():
     assert err.value.requested == 201
     assert err.value.budget == 150
     assert "unit test" in str(err.value)
+
+
+def test_multiply_rejects_a_non_hermitian_factor():
+    real = TruncatedFourierSeries(np.array([1.0, 2.0, 1.0]))
+    skew = TruncatedFourierSeries(np.array([1j, 2.0, 1j]))
+    for a, b in ((real, skew), (skew, real), (constant_series(), skew)):
+        with pytest.raises(ValueError, match="not the series of a real"):
+            series_multiply(a, b)
 
 
 def test_constant_series_is_multiplicative_identity():

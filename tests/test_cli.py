@@ -330,6 +330,10 @@ def test_analyze_corrupt_artifact_is_usage_error(st1, tmp_path, capsys):
     assert _rewrite_header(raw, lambda header: None) == raw
     value_flip = bytearray(raw)
     value_flip[-10] ^= 0x01
+    # c(0) of the half block with a nonzero imaginary part, resealed
+    c0 = 12 + struct.unpack_from("<Q", raw, 4)[0]
+    skew = raw[:c0 + 8] + struct.pack("<d", 1e-3) + raw[c0 + 16:-4]
+    skew += zlib.crc32(skew).to_bytes(4, "little")
     cases = {
         "random.bin": bytes(range(256)) * 16,
         "cut.bin": raw[:-100],
@@ -345,6 +349,9 @@ def test_analyze_corrupt_artifact_is_usage_error(st1, tmp_path, capsys):
             raw, lambda h: h["config"]["bump"].pop("shrink")),
         # a format-1 header (the two-block layout before the checksum)
         "v1.bin": _rewrite_header(raw, lambda h: h.update(format=1)),
+        # a format-2 header (both halves of the block)
+        "v2.bin": _rewrite_header(raw, lambda h: h.update(format=2)),
+        "skew.bin": skew,
         # a build value the builder would reject, read back from a header
         "halfwidth0.bin": _rewrite_header(
             raw, lambda h: h["config"].update(kernel_halfwidth=0)),
@@ -353,7 +360,9 @@ def test_analyze_corrupt_artifact_is_usage_error(st1, tmp_path, capsys):
                "lost_key.bin": "header config keys differ",
                "extra_key.bin": "header config keys differ",
                "lost_bump_key.bin": "header config keys differ",
-               "v1.bin": "artifact format 1 is not 2; rebuild the stage",
+               "v1.bin": "artifact format 1 is not 3; rebuild the stage",
+               "v2.bin": "artifact format 2 is not 3; rebuild the stage",
+               "skew.bin": "gfactors: c(0) = ",
                "halfwidth0.bin": "kernel_halfwidth"}
     for name, blob in cases.items():
         path = tmp_path / name

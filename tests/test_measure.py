@@ -772,7 +772,8 @@ def test_one_stage_frozen(st1):
     assert st1.density.half_bandwidth == 15417
     assert st1.uniform_error_bound == pytest.approx(5.98169044872018e-08,
                                                     rel=1e-9)
-    assert st1.nonneg_min == pytest.approx(-1.0595412741620791e-10, rel=1e-6)
+    assert st1.nonneg_min == pytest.approx(-1.0595412741620791e-10,
+                                           rel=0, abs=1e-13)
     summary = dict(st1.factor_summaries[0])
     assert summary["scale"] == 4
     assert summary["count"] == 6
@@ -798,10 +799,14 @@ def test_two_stage_frozen(st2):
     assert st2.nonneg_min == pytest.approx(-187.8273921744198, rel=1e-9)
 
 
-def test_mean_is_exactly_one(st0, st1, st2):
+def test_mean_is_exactly_one(st0, st1, st2, tmp_path):
+    st1.save(tmp_path / "stage.bin")
+    back = MeasureStage.load(tmp_path / "stage.bin")
     for stage in (st0, st1, st2):
         assert stage.density.coeff(0) == pytest.approx(1.0, abs=1e-12)
         assert stage.density.hermitian_defect() == 0.0
+    for stage in (st0, st1, st2, back):
+        assert stage.gfactors.hermitian_defect() == 0.0
 
 
 # ----------------------------------------------------------------------
