@@ -96,7 +96,7 @@ _MIN_SPAN = 1 << 17
 _BLOCK_MEMBERS = 32
 # no piece is longer than this many frequencies, to bound the zeroed
 # pieces that the later member blocks sum into, 16 bytes per frequency
-# and at most 2 * workers of them alive
+# and at most `workers` of them alive
 _CHUNK = 1 << 20
 
 # phase and kernel tables: j = _BLOCK*a + b, so e(-j*phase) is
@@ -382,8 +382,8 @@ def assemble_line(data: _MemberTable, bump: BumpSpec, l_lo: int,
     straight into them; every later block sums into its own zeroed
     pair of pieces.  The calling thread folds the jobs in submission
     order, each later piece added to the planes, and folds the oldest
-    one whenever ``2 * workers`` jobs are pending, so no more later
-    pieces than that are alive.  The planes become the complex line
+    one whenever ``workers`` jobs are pending, so no more later pieces
+    than that are alive.  The planes become the complex line
     once, which is then divided by the member count.  Every term depends
     on j alone, so each coefficient's bits depend on the block length
     only: not on the CPU count, the run length, the order in which jobs
@@ -431,7 +431,7 @@ def assemble_line(data: _MemberTable, bump: BumpSpec, l_lo: int,
             out = planes[:, a:b] if i == 0 else np.zeros((2, b - a))
             pending.append((pool.submit(run, blocks[i], out, l_lo + a,
                                         l_lo + b - 1), i, a, out))
-            if len(pending) == 2 * workers:
+            if len(pending) == workers:
                 fold(*pending.pop(0))
         while pending:
             fold(*pending.pop(0))
@@ -614,16 +614,20 @@ def window_samples(coeffs: np.ndarray, xi_grid: np.ndarray, bump: BumpSpec,
     L = (len(coeffs) - 1) // 2
     if len(ns) and int(np.max(np.abs(ns))) > L + d_h:
         raise ValueError(f"frequency beyond stored coverage {L + d_h}")
-    # zero padding lets every n - m with |n| <= L + d_h index the block
-    padded = np.pad(coeffs, 2 * d_h)
-    offsets = L + 2 * d_h - np.arange(-d_h, d_h + 1)
+    # every n - m with |n| <= L + d_h indexes the block once clipped,
+    # and the entries outside the band are zeroed, as a zero-padded copy
+    # of the block would read them
+    offsets = L - np.arange(-d_h, d_h + 1)
     out = np.empty(len(ns), dtype=np.complex128)
     for fi in range(4):
         sel = fracs == fi
         if not sel.any():
             continue
         kern = bump.window_kernel(fi / 4.0, d_h)
-        out[sel] = (padded[ns[sel][:, None] + offsets] * kern).sum(axis=1)
+        idx = ns[sel][:, None] + offsets
+        rows = coeffs[np.clip(idx, 0, 2 * L)]
+        rows[(idx < 0) | (idx > 2 * L)] = 0.0
+        out[sel] = (rows * kern).sum(axis=1)
     return out
 
 
@@ -647,12 +651,16 @@ def stability_gap(profile: ApproximationProfile, bump: BumpSpec, eta: float,
     xi_top = int(math.ceil(float(xi_grid[-1])))
     l_c = xi_top + l_g + d_h
 
+    # each probe-length array is dropped as soon as it is used
     half = assemble_line(data, bump, 0, l_c)
     half[0] = 0.0                               # without the l = 0 term
     cand = TruncatedFourierSeries.from_half(half)
-
+    del half
+    cand_l1 = cand.l1_norm()
     prod = series_multiply(cand, periodic)
+    del cand
     vals = np.abs(window_samples(prod.coeffs, xi_grid, bump, d_h))
+    del prod
     weights = (1.0 + xi_grid) ** (eta - eps)
     weighted = vals * weights
     i = int(np.argmax(weighted))
@@ -665,7 +673,7 @@ def stability_gap(profile: ApproximationProfile, bump: BumpSpec, eta: float,
     cur_l1 = periodic.sup_bound()
     linf = float(np.mean(data.sigma_q / data.counts))
     rem = (2.0 * linf * cur_l1 * bump.window_tail_sum(d_h - 1)
-           + cand.l1_norm() * cur_l1 * float(bump.window_envelope(d_h))) * w_max
+           + cand_l1 * cur_l1 * float(bump.window_envelope(d_h))) * w_max
     return {"scale": scale, "gap": float(weighted[i]),
             "xi_argmax": float(xi_grid[i]), "remainder_bound": rem}
 

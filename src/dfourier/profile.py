@@ -163,7 +163,8 @@ class ApproximationProfile:
                             ("_theta", self.theta_table),
                             ("_pair", self.pair_table)):
             object.__setattr__(self, name, dict(table))
-        # _bucket_labels() memo per eta: (labels, labelled length)
+        # _bucket_labels() memo per eta: (labels, labelled length, and
+        # the count and mass of each bucket index over the labelled chunks)
         object.__setattr__(self, "_labels", {})
         object.__setattr__(self, "member_list",
                            tuple(sorted(int(q) for q in self.member_list)))
@@ -404,23 +405,32 @@ class ApproximationProfile:
 
         Every radius is below 1/2, so u > eta (log2 q + 1) and a q past
         2**((k + 2)/eta - 1) lies above bucket k.  Chunks of ``_CHUNK``
-        denominators are labelled from q_min up, each once per eta.
+        denominators are labelled from q_min up, each once per eta, and
+        each chunk's per-bucket counts and masses are added to the
+        memo's, in chunk order: so bucket k's count and mass are whole
+        once its reach is labelled.
         """
         if not 0.0 < eta < 1.0:
             raise ProfileError("weight exponent eta must lie in (0, 1)")
         top = self.q_max if k is None else min(
             self.q_max, math.floor(2.0 ** min((k + 2) / eta - 1, 63.0)))
-        labels, done = self._labels.get(eta) or (
-            np.full(self.q_max - self.q_min + 1, -1, dtype=np.int16), 0)
+        labels, done, counts, masses = self._labels.get(eta) or (
+            np.full(self.q_max - self.q_min + 1, -1, dtype=np.int16), 0,
+            np.zeros(0, dtype=np.int64), np.zeros(0))
         while self.q_min + done <= top:
-            self._label_chunk(eta, labels, done)
+            part = self._label_chunk(eta, labels, done)
+            counts, masses = (_add_padded(total, new)
+                              for total, new in zip((counts, masses), part))
             done += _CHUNK
-        self._labels[eta] = (labels, done)
+        self._labels[eta] = (labels, done, counts, masses)
         return labels[:max(top - self.q_min + 1, 0)]
 
-    def _label_chunk(self, eta: float, labels: np.ndarray, start: int) -> None:
+    def _label_chunk(self, eta: float, labels: np.ndarray,
+                     start: int) -> tuple:
         """labels[start:start + _CHUNK]: u = eta log2(q/psi), snapped to
-        an integer within one part in 1e12, then ceil(u) - 1."""
+        an integer within one part in 1e12, then ceil(u) - 1.  Returns
+        the chunk's count and mass per bucket index; a mass is the
+        pairwise ``np.sum`` of its (psi/q)**eta in q order."""
         qs = self.q_min + np.arange(start, min(start + _CHUNK, len(labels)))
         qs = qs[self.member_mask(qs)]
         psi = self.psi_values(qs)
@@ -428,7 +438,24 @@ class ApproximationProfile:
         u = eta * (np.log2(qs.astype(float)) - np.log2(psi))
         r = np.round(u)
         snap = np.abs(u - r) <= _SNAP_RTOL * np.maximum(1.0, np.abs(u))
-        labels[qs - self.q_min] = np.where(snap, r, np.ceil(u)) - 1
+        lab = (np.where(snap, r, np.ceil(u)) - 1).astype(np.int16)
+        labels[qs - self.q_min] = lab
+        counts = np.bincount(lab)
+        # one stable (radix) sort by label puts each bucket's weights side
+        # by side, in q order: a slice per bucket, whatever the bucket count
+        weights = ((psi / qs) ** eta)[np.argsort(lab, kind="stable")]
+        ends = np.cumsum(counts)
+        masses = np.array([np.sum(weights[e - n:e])
+                           for n, e in zip(counts, ends)])
+        return counts, masses
+
+    def _sums(self, eta: float, k: int) -> tuple:
+        """Count and mass of bucket k from the memo; its reach must be
+        labelled."""
+        _, _, counts, masses = self._labels[eta]
+        if k >= len(counts):
+            return 0, 0.0
+        return int(counts[k]), float(masses[k])
 
     def bucket(self, eta: float, scale: int) -> "Bucket":
         """Members q with (psi(q)/q)**eta in [1/(2M), 1/M), M = ``scale``.
@@ -436,19 +463,21 @@ class ApproximationProfile:
         Boundary hits (u within one part in 1e12 of an integer) go to
         the lower bucket, deterministically.  Every call cuts the bucket
         from ``_bucket_labels``, labelled up to the bucket's reach only and
-        each chunk once per eta; the member array is read-only.
+        each chunk once per eta, and reads its mass from the labels'
+        memo; the member array is read-only.
         """
         k = int(scale).bit_length() - 1
         if scale != 1 << k:
             raise ProfileError("scale must be a power of two")
         members = self.q_min + np.flatnonzero(self._bucket_labels(eta, k) == k)
         members.flags.writeable = False
-        psi = self.psi_values(members)
-        mass = float(np.sum((psi / members) ** eta)) if len(members) else 0.0
-        return Bucket(scale=1 << k, k=k, members=members, mass=mass,
-                      window_limited=self._window_limited(eta, k, members))
+        return Bucket(scale=1 << k, k=k, members=members,
+                      mass=self._sums(eta, k)[1],
+                      window_limited=self._window_limited(eta, k))
 
-    def _window_limited(self, eta: float, k: int, members: np.ndarray) -> bool:
+    def _window_limited(self, eta: float, k: int) -> bool:
+        """Whether bucket k may have been cut off by the window; bucket
+        k's reach must be labelled."""
         if self.psi_kind == "power_law" and self.member_kind == "all":
             c = eta * (1.0 + self.tau)
             q_lo = 2.0 ** (k / c)
@@ -456,19 +485,19 @@ class ApproximationProfile:
             first = math.floor(q_lo) + 1
             last = math.floor(q_hi)
             return first < self.q_min or last > self.q_max
-        # heuristic for irregular profiles: a bucket touching the window
-        # edge may have been cut off
-        if len(members) == 0:
-            return True
-        return bool(members[0] == self.q_min or members[-1] == self.q_max)
+        # heuristic for irregular profiles: an empty bucket, or one that
+        # holds q_min or q_max, may have been cut off
+        labels = self._labels[eta][0]
+        return bool(self._sums(eta, k)[0] == 0 or labels[0] == k
+                    or labels[-1] == k)
 
     def scale_set(self, eta: float, k_max: int | None = None) -> "ScaleSet":
         """All dyadic scales with their bucket mass and admissibility.
 
         A scale M = 2**k qualifies when its bucket mass is at least
         1/k**2; it is admissible when it also is not window-limited.
-        It labels the whole window (once per eta, in chunks), and every
-        bucket is cut from those labels.
+        It labels the whole window (once per eta, in chunks) and reads
+        every count and mass from the labels' memo, cutting no bucket.
         """
         top = int(self._bucket_labels(eta).max(initial=0))
         if k_max is not None:
@@ -476,13 +505,21 @@ class ApproximationProfile:
         entries = []
         for k in range(1, top + 1):
             M = 1 << k
-            b = self.bucket(eta, M)
+            count, mass = self._sums(eta, k)
             entries.append(ScaleEntry(
-                k=k, scale=M, count=b.count, mass=b.mass,
-                qualifies=bool(b.mass >= 1.0 / k**2),
-                window_limited=b.window_limited,
-                size_ratio=b.count / (M / math.log(M) ** 2)))
+                k=k, scale=M, count=count, mass=mass,
+                qualifies=bool(mass >= 1.0 / k**2),
+                window_limited=self._window_limited(eta, k),
+                size_ratio=count / (M / math.log(M) ** 2)))
         return ScaleSet(eta=eta, entries=tuple(entries))
+
+
+def _add_padded(total: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """total + part entry by entry, the shorter one read as zero-padded."""
+    out = np.zeros(max(len(total), len(part)), dtype=total.dtype)
+    out[:len(total)] = total
+    out[:len(part)] += part
+    return out
 
 
 # ----------------------------------------------------------------------

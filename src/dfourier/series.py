@@ -85,8 +85,13 @@ class TruncatedFourierSeries:
         return self.l1_norm() + self.tail_bound
 
     def hermitian_defect(self) -> float:
-        """Max deviation from c(-l) == conj(c(l)); 0 for real densities."""
-        return float(np.max(np.abs(self.coeffs - np.conj(self.coeffs[::-1]))))
+        """Max deviation from c(-l) == conj(c(l)); 0 for real densities.
+
+        Read on l >= 0 only, c[L:] against conj c[L::-1]: the deviation
+        at -l is the same number."""
+        L = self.half_bandwidth
+        return float(np.max(np.abs(self.coeffs[L:]
+                                   - np.conj(self.coeffs[L::-1]))))
 
     def slice_to(self, half_bandwidth: int) -> "TruncatedFourierSeries":
         """Restrict (or zero-pad) to [-half_bandwidth, half_bandwidth].

@@ -1,6 +1,7 @@
 """Transform sampling, decay reports, support witnesses, interval masses."""
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import asdict
 from fractions import Fraction
@@ -29,6 +30,7 @@ from dfourier import (
     write_report_json,
     write_upper_csv,
 )
+from dfourier import analyze
 from dfourier.analyze import (DirectDensity, _clip_to_union, _merge_intervals,
                               _target_unions)
 from dfourier.arith import residue_set
@@ -654,6 +656,44 @@ def test_upper_bound_report_frozen(st1):
     assert max(r["ratio"] for r in up.per_q) == up.constant
     assert sum(r["measured"] for r in up.per_q) == pytest.approx(
         up.measured_partial, rel=1e-12)
+
+
+def test_upper_report_bytes_do_not_depend_on_the_union_batch(
+        st1, monkeypatch, tmp_path):
+    # 8 batches of target unions at the default, one at 2**17, and one
+    # per modulus at 2**4 (7,797 by the residue count, so capped at the
+    # 499 moduli): each row's mass is the same bits in any batch, so the
+    # report is too, and no batch is empty
+    assert 1 + sum(range(2, 501)) // analyze._UNION_CHUNK > 1
+    sizes = []
+    real = analyze._target_unions
+
+    def counted(profile, qs):
+        sizes.append(len(qs))
+        return real(profile, qs)
+
+    monkeypatch.setattr(analyze, "_target_unions", counted)
+    texts = []
+    for chunk in (analyze._UNION_CHUNK, 1 << 17, 1 << 4):
+        monkeypatch.setattr(analyze, "_UNION_CHUNK", chunk)
+        sizes.clear()
+        write_report_json(borel_cantelli_report(st1), tmp_path / "up.json")
+        texts.append((tmp_path / "up.json").read_bytes())
+        assert min(sizes) >= 1 and sum(sizes) == 499, chunk
+    assert len(sizes) == 499
+    assert texts[0] == texts[1] == texts[2]
+
+
+def test_upper_report_allocations_stay_per_batch(st1):
+    # the report, its DirectDensity included, peaks at 3.9 MB traced;
+    # all 499 moduli in one batch of target unions took 13.9 MB
+    tracemalloc.start()
+    try:
+        borel_cantelli_report(st1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6
 
 
 # ----------------------------------------------------------------------

@@ -67,8 +67,11 @@ def test_bucket_requires_power_of_two(reference_profile):
         reference_profile.bucket(1.5, 4)
 
 
-def _same_bucket(a, b):
-    return (np.array_equal(a.members, b.members) and a.mass == b.mass
+def _same_bucket(a, b, rel=0.0):
+    # rel = 0: the same floats; against the oracle, the mass within rel
+    # of its math.fsum
+    return (np.array_equal(a.members, b.members)
+            and abs(a.mass - b.mass) <= rel * b.mass
             and (a.scale, a.k, a.window_limited)
             == (b.scale, b.k, b.window_limited))
 
@@ -109,12 +112,18 @@ def _whole_window_labels(p, eta):
 
 
 def _oracle_bucket(p, eta, k, qs, idx):
+    # the mass as an exactly rounded sum, and the edge rule of irregular
+    # profiles read off the members themselves
     members = qs[idx == k]
     psi = p.psi_values(members)
+    if p.psi_kind == "power_law" and p.member_kind == "all":
+        limited = p._window_limited(eta, k)     # closed form
+    else:
+        limited = (len(members) == 0 or members[0] == p.q_min
+                   or members[-1] == p.q_max)
     return Bucket(scale=1 << k, k=k, members=members,
-                  mass=float(np.sum((psi / members) ** eta))
-                  if len(members) else 0.0,
-                  window_limited=p._window_limited(eta, k, members))
+                  mass=math.fsum((psi / members) ** eta),
+                  window_limited=bool(limited))
 
 
 def _count_chunks(monkeypatch):
@@ -170,8 +179,9 @@ def test_bucket_labels_index_the_window_once_per_eta(monkeypatch):
         qs, idx = _whole_window_labels(warm, eta)
         for k in range(int(idx.max()) + 2):
             want = _oracle_bucket(warm, eta, k, qs, idx)
-            assert _same_bucket(warm.bucket(eta, 1 << k), want), (eta, k)
-        labels, done = warm._labels[eta]
+            assert _same_bucket(warm.bucket(eta, 1 << k), want,
+                                rel=1e-13), (eta, k)
+        labels, done = warm._labels[eta][:2]
         assert labels.dtype == np.int16 and labels.nbytes == 2 * 49_999
         assert done >= 49_999
 
@@ -196,7 +206,7 @@ def test_bucket_labels_no_chunk_past_its_reach(monkeypatch):
     assert all(prof.q_min + start <= 2 ** _reach(0.3, 2)
                for _, _, start in seen)
     qs, idx = _whole_window_labels(prof, 0.3)
-    assert _same_bucket(got, _oracle_bucket(prof, 0.3, 2, qs, idx))
+    assert _same_bucket(got, _oracle_bucket(prof, 0.3, 2, qs, idx), rel=1e-13)
     # asking again, or for a lower bucket, labels nothing new
     prof.bucket(0.3, 4)
     prof.bucket(0.3, 2)
@@ -234,18 +244,26 @@ _ORACLE_PROFILES = {
 
 def _check_against_oracle(kind, eta):
     # buckets asked for from the lowest up, so the labels grow by chunks
-    # as the reach grows; each is the oracle's cut and ends below its
-    # reach, and scale_set on the same profile agrees with both
+    # as the reach grows; each is the oracle's cut, its mass within 1e-13
+    # of the exactly rounded sum, and ends below its reach; scale_set on
+    # the same profile agrees with both
     prof = _ORACLE_PROFILES[kind]()
     qs, idx = _whole_window_labels(prof, eta)
     top = int(idx.max()) + 2
+    got = {}
     for k in range(top):
-        got = prof.bucket(eta, 1 << k)
-        assert _same_bucket(got, _oracle_bucket(prof, eta, k, qs, idx)), k
-        if got.count:
-            assert math.log2(got.members[-1]) <= _reach(eta, k)
-    counts = {e.k: e.count for e in prof.scale_set(eta, k_max=top).entries}
-    assert counts == {k: int(np.sum(idx == k)) for k in range(1, top + 1)}
+        got[k] = prof.bucket(eta, 1 << k)
+        assert _same_bucket(got[k], _oracle_bucket(prof, eta, k, qs, idx),
+                            rel=1e-13), k
+        if got[k].count:
+            assert math.log2(got[k].members[-1]) <= _reach(eta, k)
+    entries = prof.scale_set(eta, k_max=top).entries
+    assert [e.k for e in entries] == list(range(1, top + 1))
+    for e in entries:
+        want = got.get(e.k) or prof.bucket(eta, e.scale)
+        assert (e.count, e.mass, e.window_limited) == (
+            want.count, want.mass, want.window_limited), e.k
+        assert e.count == int(np.sum(idx == e.k))
 
 
 @pytest.mark.parametrize("eta", [0.3, 0.5, 0.9])
@@ -263,9 +281,10 @@ def test_chunked_labels_match_the_oracle_at_any_eta(kind, eta):
 
 def test_bucket_allocations_stay_per_chunk():
     # a whole-window temporary (about 54 MB on this window) fails here:
-    # bucket(0.3, 4) labels one chunk, scale_set all 16 in turn
+    # bucket(0.3, 4) labels one chunk, scale_set all 16 in turn and cuts
+    # no bucket (5.9 MB traced; 20.6 MB when it cut each one)
     for call, bound in ((lambda p: p.bucket(0.3, 4), 8e6),
-                        (lambda p: p.scale_set(0.3), 24e6)):
+                        (lambda p: p.scale_set(0.3), 7e6)):
         prof = power_law_profile(2.0, 1_000_000, q_min=2, theta=0.3)
         tracemalloc.start()
         try:
