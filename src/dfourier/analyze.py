@@ -70,8 +70,7 @@ def sampling_remainder(stage: MeasureStage) -> float:
                2.0 * linf * bump.window_tail_sum(d_h - 1))
 
 
-def pointwise_error_bound(stage: MeasureStage,
-                          xi_top: float | None = None) -> float:
+def pointwise_error_bound(stage: MeasureStage, xi_top: float) -> float:
     """Certified |sampled - true| bound valid at every |xi| <= xi_top.
 
     A factor coefficient dropped at frequency l only reaches a probe
@@ -85,8 +84,6 @@ def pointwise_error_bound(stage: MeasureStage,
     """
     cfg = stage.config
     bump = cfg.bump
-    if xi_top is None:
-        xi_top = float(cfg.xi_max)
     rows = factor_tail_profiles(stage)
     d_h = cfg.kernel_halfwidth
     w_l1 = float(np.sum(np.abs(bump.window_kernel(0.0, 4 * d_h)))) \
@@ -191,7 +188,7 @@ class DecayReport:
 
 def predicted_dimension(profile: ApproximationProfile) -> float:
     """min(2 s, 1) from the profile's critical series exponent."""
-    s = profile.s_exponent("auto").value
+    s = profile.s_exponent().value
     return min(2.0 * s, 1.0)
 
 
@@ -204,16 +201,16 @@ def _fit_slope(bands) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def decay_report(stage: MeasureStage,
-                 fit_range: tuple = (4, None)) -> DecayReport:
+def decay_report(stage: MeasureStage) -> DecayReport:
     """Band suprema of |nu-hat|, slope fit, and the headline comparison.
 
     The grid is the build's own (``xi_max`` and ``samples_per_band`` of
-    ``stage.config``), so the report depends only on the artifact and
-    ``fit_range``.  Bands whose supremum does not clear the certified
-    pointwise error floor, or that the stored block cannot cover, are
-    flagged uncertified; they and bands of fewer than 4 samples stay out
-    of the fit.
+    ``stage.config``), so the report depends only on the artifact.  The
+    fit uses the bands 4 <= j < j_max, the top band j_max left out.
+    Bands whose supremum does not clear the certified pointwise error
+    floor, or that the stored block cannot cover, are flagged
+    uncertified; they and bands of fewer than 4 samples stay out of the
+    fit.
     """
     cfg = stage.config
     xi_max = float(cfg.xi_max)
@@ -246,10 +243,8 @@ def decay_report(stage: MeasureStage,
         j += 1
 
     j_max = bands[-1].j if bands else 0
-    fit_lo = fit_range[0]
-    fit_hi = fit_range[1] if fit_range[1] is not None else j_max - 1
     used = [b for b in bands
-            if fit_lo <= b.j <= fit_hi and b.certified
+            if 4 <= b.j < j_max and b.certified
             and b.samples >= 4 and b.sup_abs > 0.0]
     return DecayReport(
         bands=tuple(bands), fitted_slope=_fit_slope(used),

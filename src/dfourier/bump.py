@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from .arith import TWO_PI
 
 
 def _libm_pow(x: np.ndarray, e: int) -> np.ndarray:

@@ -60,7 +60,7 @@ class RunConfig:
     """Everything a run needs, serializable as one flat JSON object.
 
     ``profile`` holds the nested profile descriptor.  ``eta = None``
-    defers to the builder default (0.9 times the critical exponent).
+    resolves to 0.9 times the critical exponent in ``_resolve_eta``.
     ``upper_q_max`` bounds the upper report's moduli.  The flat keys that
     name ``BuildConfig`` fields go to ``build``, which owns their defaults
     and checks; ``analyze`` reads every build key from the artifact.
@@ -122,7 +122,7 @@ def _resolve_profile(cfg: RunConfig) -> ApproximationProfile:
 
 def _resolve_eta(profile: ApproximationProfile, cfg: RunConfig) -> float:
     """Weight exponent with the mandatory warning against the series exponent."""
-    s_res = profile.s_exponent("auto")
+    s_res = profile.s_exponent()
     eta = cfg.eta if cfg.eta is not None else 0.9 * s_res.value
     if s_res.mode != "analytic":
         print(f"warning: critical exponent is empirical "

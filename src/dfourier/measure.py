@@ -166,12 +166,12 @@ class _MemberTable:
 def _member_data(profile: ApproximationProfile,
                  members: np.ndarray) -> _MemberTable:
     psi = profile.psi_values(members)
+    thetas = profile.theta_values(members)
     records, counts, sigma_q, entries = [], [], [], []
-    for i, (q_np, p) in enumerate(zip(members, psi)):
-        q = int(q_np)
+    for i, (q_np, p, theta_np) in enumerate(zip(members, psi, thetas)):
+        q, theta = int(q_np), float(theta_np)
         terms = divisor_hits(q, *profile.pair(q))
         n_i = sum(mu * g for _, g, mu, _ in terms)      # S(q, 0) = #I_q
-        theta = profile.theta_of(q)
         big = 134217729.0 * theta           # 2**27 + 1: Veltkamp split
         hi = big - (big - theta)
         # every lp divides the largest one, lp_max: the product of the
@@ -571,7 +571,7 @@ def gm_series(profile: ApproximationProfile, bump: BumpSpec, eta: float,
 # stability gap and scale selection
 # ----------------------------------------------------------------------
 
-def build_xi_grid(xi_max: float, samples_per_band: int = 32) -> np.ndarray:
+def build_xi_grid(xi_max: float, samples_per_band: int) -> np.ndarray:
     """Dyadic sampling grid on [0, xi_max], snapped to quarter integers.
 
     Holds {0, 1/4, 1/2, 3/4} plus ``samples_per_band`` log-spaced points
@@ -967,12 +967,11 @@ def _finalize(profile: ApproximationProfile, eta: float, eps: float,
         nonneg_min=nonneg_min)
 
 
-def build_measure(profile: ApproximationProfile, eta: float | None = None,
+def build_measure(profile: ApproximationProfile, eta: float,
                   eps: float = 0.05, stages: int = 3,
                   config: BuildConfig | None = None) -> MeasureStage:
     """Run the staged construction and return the finished artifact.
 
-    ``eta = None`` resolves to 0.9 times the critical series exponent.
     Every factor except the last is assembled on a band certified to the
     tail tolerance; the last factor is cut at the core band that the
     analysis window actually consumes, with the dropped mass reaching the
@@ -985,9 +984,7 @@ def build_measure(profile: ApproximationProfile, eta: float | None = None,
     """
     cfg = config or BuildConfig()
     bump = cfg.bump
-    s_res = profile.s_exponent("auto")
-    if eta is None:
-        eta = 0.9 * s_res.value
+    s_res = profile.s_exponent()
     if not 0.0 < eta < 1.0:
         raise ProfileError(f"weight exponent eta={eta} outside (0, 1)")
     if not 0.0 < eps < math.inf:

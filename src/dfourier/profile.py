@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .arith import coprime_density, validate_pair
+from .arith import validate_pair
 from .errors import ProfileError
 
 _PSI_KINDS = ("power_law", "table")
@@ -256,11 +256,6 @@ class ApproximationProfile:
                              for q, m in zip(qs, mask)], dtype=float)
         return vals
 
-    def theta_of(self, q: int) -> float:
-        if self.theta_kind == "constant":
-            return self.theta_value
-        return float(self._theta.get(int(q), 0.0))
-
     def theta_values(self, qs: np.ndarray) -> np.ndarray:
         qs = np.asarray(qs, dtype=np.int64)
         if self.theta_kind == "constant":
@@ -321,23 +316,16 @@ class ApproximationProfile:
 
     # -- critical exponent ------------------------------------------------
 
-    def s_exponent(self, mode: str = "auto") -> "SExponentResult":
+    def s_exponent(self) -> "SExponentResult":
         """Critical exponent of sum (psi(q)/q)**s over member denominators.
 
-        ``analytic`` is exact for power-law radii on the ideal unbounded
-        window, ``empirical`` classifies partial-sum growth across dyadic
-        octaves by bisection on s, ``auto`` picks analytic when available.
+        Power-law radii get the closed form, exact on the ideal unbounded
+        window (mode ``analytic``); table radii classify partial-sum
+        growth across dyadic octaves by bisection on s (``empirical``).
         """
-        if mode not in ("auto", "analytic", "empirical"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if mode == "auto":
-            mode = "analytic" if self.psi_kind == "power_law" else "empirical"
-        if mode == "analytic":
-            if self.psi_kind != "power_law":
-                raise ProfileError("analytic exponent needs power-law radii")
-            value = min(1.0, 1.0 / (1.0 + self.tau))
-            return SExponentResult(value=value, mode="analytic", confident=True,
-                                   details={"tau": self.tau})
+        if self.psi_kind == "power_law":
+            return SExponentResult(min(1.0, 1.0 / (1.0 + self.tau)),
+                                   "analytic")
         return self._s_empirical()
 
     def _s_empirical(self) -> "SExponentResult":
@@ -346,7 +334,7 @@ class ApproximationProfile:
         keep = psi > 0.0
         qs, psi = qs[keep], psi[keep]
         if len(qs) == 0:
-            return SExponentResult(0.0, "empirical", False, {"octaves": 0})
+            return SExponentResult(0.0, "empirical")
         base = psi / qs
         # full dyadic octaves only; a trailing partial octave would bias
         # the growth slope downward
@@ -356,7 +344,6 @@ class ApproximationProfile:
         idx = np.searchsorted(qs, edges)
         segments = [base[idx[i]:idx[i + 1]] for i in range(len(edges) - 1)
                     if idx[i + 1] > idx[i]]
-        n_oct = len(segments)
 
         def grows(s: float) -> bool:
             # True when partial sums still grow like a divergent series
@@ -369,11 +356,9 @@ class ApproximationProfile:
             return beta >= -0.05
 
         if not grows(0.0):
-            return SExponentResult(0.0, "empirical", n_oct >= 5,
-                                   {"octaves": n_oct, "note": "finite mass"})
+            return SExponentResult(0.0, "empirical")        # finite mass
         if grows(1.0):
-            return SExponentResult(1.0, "empirical", n_oct >= 5,
-                                   {"octaves": n_oct, "note": "divergent at 1"})
+            return SExponentResult(1.0, "empirical")        # divergent at 1
         lo, hi = 0.0, 1.0
         for _ in range(30):
             mid = 0.5 * (lo + hi)
@@ -381,21 +366,7 @@ class ApproximationProfile:
                 lo = mid
             else:
                 hi = mid
-        value = 0.5 * (lo + hi)
-        return SExponentResult(value, "empirical", n_oct >= 5,
-                               {"octaves": n_oct})
-
-    def convergence_series_partial(self, n: int, s: float = 1.0) -> float:
-        """Partial sum of psi(q)**s weighted by the coprime density, q <= n."""
-        total = 0.0
-        qs = self.members(n)
-        psi = self.psi_values(qs)
-        for q, p in zip(qs, psi):
-            if p <= 0.0:
-                continue
-            _, b = self.pair(int(q))
-            total += float(p) ** s * float(coprime_density(int(q), b))
-        return total
+        return SExponentResult(0.5 * (lo + hi), "empirical")
 
     # -- dyadic buckets ----------------------------------------------------
 
@@ -472,12 +443,11 @@ class ApproximationProfile:
         members = self.q_min + np.flatnonzero(self._bucket_labels(eta, k) == k)
         members.flags.writeable = False
         return Bucket(scale=1 << k, k=k, members=members,
-                      mass=self._sums(eta, k)[1],
-                      window_limited=self._window_limited(eta, k))
+                      mass=self._sums(eta, k)[1])
 
     def _window_limited(self, eta: float, k: int) -> bool:
-        """Whether bucket k may have been cut off by the window; bucket
-        k's reach must be labelled."""
+        """Whether bucket k may have been cut off by the window; the
+        whole window must be labelled."""
         if self.psi_kind == "power_law" and self.member_kind == "all":
             c = eta * (1.0 + self.tau)
             q_lo = 2.0 ** (k / c)
@@ -529,9 +499,7 @@ def _add_padded(total: np.ndarray, part: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SExponentResult:
     value: float
-    mode: str
-    confident: bool
-    details: dict
+    mode: str                   # "analytic" or "empirical"
 
 
 @dataclass(frozen=True)
@@ -541,7 +509,6 @@ class Bucket:
     k: int
     members: np.ndarray
     mass: float
-    window_limited: bool
 
     @property
     def count(self) -> int:
@@ -568,9 +535,6 @@ class ScaleSet:
     def admissible(self) -> tuple:
         return tuple(e for e in self.entries
                      if e.qualifies and not e.window_limited)
-
-    def scales(self) -> tuple:
-        return tuple(e.scale for e in self.admissible())
 
 
 def power_law_profile(tau: float, q_max: int, q_min: int | None = None,

@@ -128,9 +128,9 @@ class TruncatedFourierSeries:
         return np.fft.irfft(folded[:n // 2 + 1], n, norm="forward")
 
 
-def constant_series(value: float = 1.0) -> TruncatedFourierSeries:
-    """The series of a real constant function (single coefficient at 0)."""
-    return TruncatedFourierSeries(np.array([float(value)], dtype=np.complex128))
+def constant_series() -> TruncatedFourierSeries:
+    """The series of the constant function 1 (single coefficient at 0)."""
+    return TruncatedFourierSeries(np.array([1.0], dtype=np.complex128))
 
 
 def series_multiply(a: TruncatedFourierSeries, b: TruncatedFourierSeries,

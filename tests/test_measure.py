@@ -93,7 +93,7 @@ def test_xi_grid_leaves_numpy_ma_unimported():
 
 def test_xi_grid_rejects_empty_range():
     with pytest.raises(ValueError):
-        build_xi_grid(0.5)
+        build_xi_grid(0.5, 32)
 
 
 # ----------------------------------------------------------------------
@@ -176,9 +176,10 @@ def test_assemble_line_matches_bruteforce_sum(reference_profile, monkeypatch):
     for lo in (0, 60000, 200000):
         ls = np.arange(lo, lo + 8)
         want = np.zeros(len(ls), dtype=complex)
-        for q, psi in zip(members.tolist(), prof.psi_values(members)):
+        for q, psi, th in zip(members.tolist(), prof.psi_values(members),
+                              prof.theta_values(members)):
             rs = residue_set(q, *prof.pair(q))
-            theta = Fraction(float(prof.theta_of(q)))
+            theta = Fraction(float(th))
             for i, l in enumerate(ls.tolist()):
                 u = np.array([float(l * (p + theta) / q % 1)
                               for p in rs.members.tolist()])
@@ -199,9 +200,10 @@ def _oracle_coefficient(prof, members, l, bump=BUMP):
     reduced exactly as a Fraction of float(theta), the terms are summed
     with math.fsum and divided by the member count."""
     re, im = [], []
-    for q, psi in zip(members.tolist(), prof.psi_values(members)):
+    for q, psi, th in zip(members.tolist(), prof.psi_values(members),
+                          prof.theta_values(members)):
         rs = residue_set(q, *prof.pair(q))
-        theta = Fraction(float(prof.theta_of(q)))
+        theta = Fraction(float(th))
         w = float(bump.fourier(l * (float(psi) / q))) / rs.count
         for p in rs.members.tolist():
             u = float(l * (p + theta) / q % 1)
@@ -668,7 +670,7 @@ def test_envelope_tail_is_the_one_bucket_tail(reference_profile, monkeypatch):
         return inner(self, rate, start)
     monkeypatch.setattr(BumpSpec, "envelope_tail_sum", tail_sum)
     stage = build_measure(reference_profile, eta=ETA, eps=EPS, stages=1)
-    analyze.pointwise_error_bound(stage)
+    analyze.pointwise_error_bound(stage, float(stage.config.xi_max))
     assert len(callers) > 40
     assert set(callers) == {"envelope_tail"}
 
@@ -689,7 +691,7 @@ def test_envelope_tail_sum_arrays_equal_scalar_formula():
 def test_opening_gap_anchor(reference_profile):
     grid = build_xi_grid(65536, 32)
     gap = stability_gap(reference_profile, BUMP, ETA, EPS, 4,
-                        constant_series(1.0), grid, kernel_halfwidth=64)
+                        constant_series(), grid, kernel_halfwidth=64)
     assert set(gap) == {"scale", "gap", "xi_argmax", "remainder_bound"}
     assert gap["scale"] == 4
     assert gap["gap"] == pytest.approx(1.725756431926317, rel=1e-12)

@@ -25,30 +25,35 @@ def test_power_law_values(reference_profile):
     p = reference_profile
     qs = np.array([2, 10, 1000])
     assert p.psi_values(qs).tolist() == [2.0 ** -2, 10.0 ** -2, 1000.0 ** -2]
-    assert p.theta_of(7) == 0.3
+    assert p.theta_values([7, 11]).tolist() == [0.3, 0.3]
     assert p.pair(7) == (0, 1)
     ms = p.members()
     assert ms[0] == 2 and ms[-1] == 1_000_000 and len(ms) == 999_999
 
 
 def test_s_exponent_analytic(reference_profile):
-    res = reference_profile.s_exponent("analytic")
+    res = reference_profile.s_exponent()
     assert res.value == 1.0 / 3.0
-    assert res.mode == "analytic" and res.confident
+    assert res.mode == "analytic"
     assert power_law_profile(1.0, 1000).s_exponent().value == 0.5
     assert power_law_profile(0.5, 1000).s_exponent().value == 1.0 / 1.5
 
 
 def test_s_exponent_empirical_agrees(reference_profile):
-    res = reference_profile.s_exponent("empirical")
-    assert res.mode == "empirical" and res.confident
+    # the bisection on power-law radii lands near the closed form
+    res = reference_profile._s_empirical()
+    assert res.mode == "empirical"
     assert res.value == pytest.approx(0.34999837586656213, abs=1e-12)
     assert abs(res.value - 1.0 / 3.0) < 0.05
-
-
-def test_s_exponent_bad_mode(reference_profile):
-    with pytest.raises(ValueError):
-        reference_profile.s_exponent("guess")
+    # table radii take the bisection: the same radii as a table give
+    # the same exponent
+    power = power_law_profile(2.0, 1 << 14, q_min=2)
+    qs = power.members()
+    table = ApproximationProfile(
+        q_min=2, q_max=1 << 14, psi_kind="table",
+        psi_table=dict(zip(qs.tolist(), power.psi_values(qs).tolist())))
+    assert table.s_exponent() == power._s_empirical()
+    assert table.s_exponent().mode == "empirical"
 
 
 def test_reference_bucket(reference_profile):
@@ -57,7 +62,7 @@ def test_reference_bucket(reference_profile):
     assert b.members.tolist() == [5, 6, 7, 8, 9, 10]
     assert b.count == 6
     assert b.mass == pytest.approx(1.0260406602206753, rel=1e-12)
-    assert not b.window_limited
+    assert not reference_profile.scale_set(0.3).entries[1].window_limited
 
 
 def test_bucket_requires_power_of_two(reference_profile):
@@ -72,8 +77,7 @@ def _same_bucket(a, b, rel=0.0):
     # of its math.fsum
     return (np.array_equal(a.members, b.members)
             and abs(a.mass - b.mass) <= rel * b.mass
-            and (a.scale, a.k, a.window_limited)
-            == (b.scale, b.k, b.window_limited))
+            and (a.scale, a.k) == (b.scale, b.k))
 
 
 def test_bucket_memo_matches_fresh_profiles():
@@ -112,18 +116,19 @@ def _whole_window_labels(p, eta):
 
 
 def _oracle_bucket(p, eta, k, qs, idx):
-    # the mass as an exactly rounded sum, and the edge rule of irregular
-    # profiles read off the members themselves
+    # the mass as an exactly rounded sum
     members = qs[idx == k]
     psi = p.psi_values(members)
-    if p.psi_kind == "power_law" and p.member_kind == "all":
-        limited = p._window_limited(eta, k)     # closed form
-    else:
-        limited = (len(members) == 0 or members[0] == p.q_min
-                   or members[-1] == p.q_max)
     return Bucket(scale=1 << k, k=k, members=members,
-                  mass=math.fsum((psi / members) ** eta),
-                  window_limited=bool(limited))
+                  mass=math.fsum((psi / members) ** eta))
+
+
+def _oracle_limited(p, eta, k, members):
+    # the edge rule of irregular profiles read off the members themselves
+    if p.psi_kind == "power_law" and p.member_kind == "all":
+        return p._window_limited(eta, k)        # closed form
+    return bool(len(members) == 0 or members[0] == p.q_min
+                or members[-1] == p.q_max)
 
 
 def _count_chunks(monkeypatch):
@@ -262,7 +267,8 @@ def _check_against_oracle(kind, eta):
     for e in entries:
         want = got.get(e.k) or prof.bucket(eta, e.scale)
         assert (e.count, e.mass, e.window_limited) == (
-            want.count, want.mass, want.window_limited), e.k
+            want.count, want.mass,
+            _oracle_limited(prof, eta, e.k, want.members)), e.k
         assert e.count == int(np.sum(idx == e.k))
 
 
@@ -307,7 +313,9 @@ def test_reference_scale_set(reference_profile):
         assert e.qualifies == (e.mass >= 1.0 / e.k ** 2)
         assert e.size_ratio == pytest.approx(
             e.count / (e.scale / math.log(e.scale) ** 2), rel=1e-12)
-    assert sset.scales() == tuple(e.scale for e in sset.admissible())
+    assert [e.scale for e in sset.admissible()] == [
+        e.scale for e in sset.entries
+        if e.qualifies and not e.window_limited]
 
 
 @given(st.floats(min_value=0.05, max_value=0.95))
@@ -329,8 +337,8 @@ def test_buckets_partition_members(tiny, eta):
 
 def test_window_limited_flags(tiny):
     # the top bucket of a 10-wide window is cut off by the window edge
-    assert not tiny.bucket(0.3, 4).window_limited
-    assert tiny.bucket(0.3, 8).window_limited
+    entries = tiny.scale_set(0.3, k_max=3).entries
+    assert [e.window_limited for e in entries[1:3]] == [False, True]
 
 
 def test_descriptor_round_trip(reference_profile):
@@ -356,22 +364,10 @@ def test_table_profile_round_trip():
     p = ApproximationProfile.from_descriptor(desc)
     assert p.members().tolist() == [3, 7]
     assert p.psi_values(np.array([3, 7])).tolist() == [0.01, 0.002]
-    assert p.theta_of(3) == 0.25 and p.theta_of(7) == 0.0
+    assert p.theta_values([3, 7]).tolist() == [0.25, 0.0]
     assert p.pair(3) == (1, 2) and p.pair(7) == (0, 1)
     assert ApproximationProfile.from_descriptor(
         p.to_descriptor()).to_descriptor() == p.to_descriptor()
-
-
-def test_convergence_series_partial(reference_profile):
-    # independent accumulation over a small prefix
-    total = 0.0
-    for q in range(2, 41):
-        total += (q ** -2.0) ** 1.0 * float(coprime_density(q, 1))
-    assert reference_profile.convergence_series_partial(40) == pytest.approx(
-        total, rel=1e-12)
-    p100 = reference_profile.convergence_series_partial(100)
-    p200 = reference_profile.convergence_series_partial(200)
-    assert p200 >= p100 >= total
 
 
 def test_residue_fraction_consistency(reference_profile):
