@@ -661,7 +661,7 @@ class UpperBoundReport:
 
 
 def borel_cantelli_report(stage: MeasureStage,
-                          n_max: int = 500) -> UpperBoundReport:
+                          n_max: int) -> UpperBoundReport:
     """Per-q masses against 2 psi (#I_q / q) + (psi/q)^(s - eps), with s
     and eps the stage's own.
 

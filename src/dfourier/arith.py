@@ -149,9 +149,6 @@ def validate_pair(a: int, b: int) -> None:
 class ResidueSet:
     """Residues ``p`` in ``[0, q)`` with ``gcd(b*p + a, q) == 1``."""
 
-    q: int
-    a: int
-    b: int
     members: np.ndarray  # sorted int64 residues
     mask: np.ndarray  # bool, length q
 
@@ -178,7 +175,7 @@ def residue_set(q: int, a: int = 0, b: int = 1) -> ResidueSet:
     p = np.arange(q, dtype=np.int64)
     mask = np.gcd(b * p + a, q) == 1
     members = p[mask]
-    return ResidueSet(q=q, a=a, b=b, members=members, mask=mask)
+    return ResidueSet(members=members, mask=mask)
 
 
 def coprime_density(q: int, b: int) -> Fraction:
@@ -261,20 +258,6 @@ def ramanujan_period_dense(q: int, a: int = 0, b: int = 1) -> np.ndarray:
     """
     rs = residue_set(q, a, b)
     return np.fft.fft(rs.mask.astype(np.float64))
-
-
-def grs_bound_ratio(q: int, k: int, a: int = 0, b: int = 1) -> float:
-    """The ratio |S(q, k)| / (gcd(q, k) * log q).
-
-    Normalizes the exponential sum by the growth envelope that matters
-    for the decay analysis.  Requires q >= 2 (the log) and k >= 1.
-    """
-    if q < 2:
-        raise ValueError(f"modulus must be >= 2, got {q}")
-    if k < 1:
-        raise ValueError(f"frequency must be >= 1, got {k}")
-    s = ramanujan_sum(q, k, a, b)
-    return abs(s) / (math.gcd(q, k) * math.log(q))
 
 
 def bound_ratio_scan(

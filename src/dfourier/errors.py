@@ -18,15 +18,10 @@ class BandwidthBudgetError(RuntimeError):
     ``partial`` before letting the error propagate.
     """
 
-    def __init__(self, requested: int, budget: int, where: str = "") -> None:
-        self.requested = int(requested)
-        self.budget = int(budget)
-        self.where = where
+    def __init__(self, requested: int, budget: int, where: str) -> None:
         self.partial = None
-        msg = f"bandwidth budget exceeded: need {requested} coefficients, cap {budget}"
-        if where:
-            msg += f" ({where})"
-        super().__init__(msg)
+        super().__init__(f"bandwidth budget exceeded: need {requested} "
+                         f"coefficients, cap {budget} ({where})")
 
 
 class WindowExhaustedError(RuntimeError):

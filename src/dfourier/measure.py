@@ -54,7 +54,6 @@ import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -149,15 +148,13 @@ class _MemberTable:
     """One bucket's member records and the arrays of its envelope tail.
 
     The arrays run over the (member, divisor d of q) pairs, each q's
-    divisors ascending: ``row`` and ``col`` place a pair in a
-    member-by-divisor matrix; ``div``, ``sigma_d`` and ``rate_d`` hold d,
-    sigma(d) and rate*d.
+    divisors ascending: ``row`` is the member's index; ``div``,
+    ``sigma_d`` and ``rate_d`` hold d, sigma(d) and rate*d.
     """
     members: tuple              # one _Member per q
     counts: np.ndarray          # #I_q, as floats
     sigma_q: np.ndarray         # sigma(q)
     row: np.ndarray
-    col: np.ndarray
     div: np.ndarray
     sigma_d: np.ndarray
     rate_d: np.ndarray
@@ -183,13 +180,12 @@ def _member_data(profile: ApproximationProfile,
                                lp=lp_max, p0=p0_max, hits=hits,
                                theta=(hi, theta - hi)))
         counts.append(n_i)
-        entries += [(i, k, d, divisor_sum(d))
-                    for k, d in enumerate(divisors(q))]
-        sigma_q.append(entries[-1][3])              # d = q comes last
-    row, col, div, sigma_d = np.array(entries, dtype=np.int64).reshape(-1, 4).T
+        entries += [(i, d, divisor_sum(d)) for d in divisors(q)]
+        sigma_q.append(entries[-1][2])              # d = q comes last
+    row, div, sigma_d = np.array(entries, dtype=np.int64).reshape(-1, 3).T
     rates = np.array([mem.rate for mem in records])[row]
     return _MemberTable(tuple(records), np.array(counts, dtype=float),
-                        np.array(sigma_q, dtype=float), row, col, div,
+                        np.array(sigma_q, dtype=float), row, div,
                         sigma_d, rates * div)
 
 
@@ -447,15 +443,14 @@ def envelope_tail(data: _MemberTable, bump: BumpSpec,
 
     Uses |S(q, l)| <= sigma(gcd(q, l)) and groups frequencies by the
     divisor d | q they share with q, so each group is a lacunary
-    progression against the kernel envelope.  The (member, divisor)
-    terms are placed in a member-by-divisor matrix padded with zeros,
-    summed divisor after divisor and then member after member: the order
-    of the scalar loop, so the values are the same floats.
+    progression against the kernel envelope.  ``bincount`` adds the
+    (member, divisor) terms in array order, divisor after divisor, and
+    the members are then summed one after another: the order of the
+    scalar loop, so the values are the same floats.
     """
-    terms = np.zeros((len(data.members), int(data.col.max()) + 1))
-    terms[data.row, data.col] = data.sigma_d * bump.envelope_tail_sum(
+    terms = data.sigma_d * bump.envelope_tail_sum(
         data.rate_d, half_bandwidth // data.div)
-    per_q = np.add.accumulate(terms, axis=1)[:, -1]
+    per_q = np.bincount(data.row, weights=terms, minlength=len(data.members))
     total = np.add.accumulate(per_q / data.counts)[-1]
     return 2.0 * float(total) / len(data.members)
 
@@ -772,9 +767,9 @@ class MeasureStage:
     ``gfactors`` is the series of the periodic g-product, normalized so
     the density has mean exactly 1; the analyzer pairs it with the
     closed-form window transform to evaluate the measure transform off
-    the integers.  ``density`` (g-product times the window h0) is derived
-    from it on first use.  ``gap_log`` holds each stage's probe rows and
-    ``factor_summaries`` each factor's ``GmFactor.summary()``, as dicts.
+    the integers.  The density is the g-product times the window h0.
+    ``gap_log`` holds each stage's probe rows and ``factor_summaries``
+    each factor's ``GmFactor.summary()``, as dicts.
     ``nonneg_min`` is an uncertified diagnostic, the minimum of a 2**16-point
     FFT evaluation of the density; its trailing digits move with coefficient
     rounding (2.0e-5 relative for coefficient moves of 1.1e-16), so compare
@@ -804,24 +799,6 @@ class MeasureStage:
                            tuple(tuple(stage) for stage in self.gap_log))
         object.__setattr__(self, "factor_summaries",
                            tuple(self.factor_summaries))
-
-    @property
-    def complete(self) -> bool:
-        return self.stages == self.requested_stages
-
-    @cached_property
-    def density(self) -> TruncatedFourierSeries:
-        """Series of the normalized density, ``gfactors`` times h0.
-
-        Cut at the export band like ``gfactors``.  Where ``gfactors`` is
-        itself cut there (two stages and up), the outermost h0 half-band
-        of coefficients on each side misses the product terms beyond the
-        cut; the product's tail bound prices that.
-        """
-        h0 = self.config.h0()
-        full = series_multiply(self.gfactors, h0)
-        return full.slice_to(min(_export_band(self.config, h0),
-                                 full.half_bandwidth))
 
     # -- persistence -----------------------------------------------------
 
@@ -967,8 +944,8 @@ def _finalize(profile: ApproximationProfile, eta: float, eps: float,
         nonneg_min=nonneg_min)
 
 
-def build_measure(profile: ApproximationProfile, eta: float,
-                  eps: float = 0.05, stages: int = 3,
+def build_measure(profile: ApproximationProfile, eta: float, eps: float,
+                  stages: int,
                   config: BuildConfig | None = None) -> MeasureStage:
     """Run the staged construction and return the finished artifact.
 

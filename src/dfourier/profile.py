@@ -442,7 +442,7 @@ class ApproximationProfile:
             raise ProfileError("scale must be a power of two")
         members = self.q_min + np.flatnonzero(self._bucket_labels(eta, k) == k)
         members.flags.writeable = False
-        return Bucket(scale=1 << k, k=k, members=members,
+        return Bucket(k=k, members=members,
                       mass=self._sums(eta, k)[1])
 
     def _window_limited(self, eta: float, k: int) -> bool:
@@ -481,7 +481,7 @@ class ApproximationProfile:
                 qualifies=bool(mass >= 1.0 / k**2),
                 window_limited=self._window_limited(eta, k),
                 size_ratio=count / (M / math.log(M) ** 2)))
-        return ScaleSet(eta=eta, entries=tuple(entries))
+        return ScaleSet(entries=tuple(entries))
 
 
 def _add_padded(total: np.ndarray, part: np.ndarray) -> np.ndarray:
@@ -505,7 +505,6 @@ class SExponentResult:
 @dataclass(frozen=True)
 class Bucket:
     """One dyadic bucket of denominators with its weight mass."""
-    scale: int
     k: int
     members: np.ndarray
     mass: float
@@ -529,7 +528,6 @@ class ScaleEntry:
 @dataclass(frozen=True)
 class ScaleSet:
     """Bucket summary per dyadic scale plus the admissible subset."""
-    eta: float
     entries: tuple
 
     def admissible(self) -> tuple:
@@ -538,8 +536,7 @@ class ScaleSet:
 
 
 def power_law_profile(tau: float, q_max: int, q_min: int | None = None,
-                      theta: float = 0.0,
-                      coprime: str = "classical") -> ApproximationProfile:
+                      theta: float = 0.0) -> ApproximationProfile:
     """Convenience constructor for psi(q) = q**-tau profiles."""
     if q_min is None:
         # smallest q with psi(q) < 1/2; for very flat radii that point
@@ -550,4 +547,4 @@ def power_law_profile(tau: float, q_max: int, q_min: int | None = None,
             knee = math.inf
         q_min = q_max + 1 if knee > q_max else max(2, math.floor(knee) + 1)
     return ApproximationProfile(q_min=int(q_min), q_max=int(q_max), tau=float(tau),
-                                theta_value=float(theta), coprime_kind=coprime)
+                                theta_value=float(theta))

@@ -94,17 +94,15 @@ class TruncatedFourierSeries:
                                    - np.conj(self.coeffs[L::-1]))))
 
     def slice_to(self, half_bandwidth: int) -> "TruncatedFourierSeries":
-        """Restrict (or zero-pad) to [-half_bandwidth, half_bandwidth].
+        """Restrict to [-half_bandwidth, half_bandwidth] within the band.
 
-        Mass dropped by a narrowing slice is added to the tail bound.
+        The dropped mass is added to the tail bound.
         """
         L, Lnew = self.half_bandwidth, int(half_bandwidth)
-        if Lnew < 0:
-            raise ValueError("half_bandwidth must be nonnegative")
-        if Lnew >= L:
-            pad = Lnew - L
-            c = np.pad(self.coeffs, (pad, pad))
-            return TruncatedFourierSeries(c, self.tail_bound)
+        if not 0 <= Lnew <= L:
+            raise ValueError(f"half_bandwidth {Lnew} outside [0, {L}]")
+        if Lnew == L:
+            return self
         cut = L - Lnew
         dropped = float(np.sum(np.abs(self.coeffs[:cut]))
                         + np.sum(np.abs(self.coeffs[-cut:])))

@@ -6,8 +6,9 @@ files was produced by exactly these calls.
 import pytest
 from hypothesis import settings
 
-from dfourier.measure import build_measure
+from dfourier.measure import _export_band, build_measure
 from dfourier.profile import power_law_profile
+from dfourier.series import series_multiply
 
 # modest example counts keep the property tests fast; derandomize makes
 # the whole suite reproducible run to run
@@ -41,3 +42,20 @@ def st2(reference_profile):
     """Two-stage measure; the second factor is band-capped, so its
     stored tail bound is honest but large."""
     return build_measure(reference_profile, eta=ETA, eps=EPS, stages=2)
+
+
+@pytest.fixture(scope="session")
+def density():
+    """The normalized density series of a stage, ``gfactors`` times h0.
+
+    Cut at the export band like ``gfactors``.  Where ``gfactors`` is
+    itself cut there (two stages and up), the outermost h0 half-band of
+    coefficients on each side misses the product terms beyond the cut;
+    the product's tail bound prices that.
+    """
+    def of(stage):
+        h0 = stage.config.h0()
+        full = series_multiply(stage.gfactors, h0)
+        return full.slice_to(min(_export_band(stage.config, h0),
+                                 full.half_bandwidth))
+    return of

@@ -15,6 +15,7 @@ from dfourier import (
     DecayBand,
     DecayReport,
     borel_cantelli_report,
+    build_measure,
     compare_with_window_only,
     decay_report,
     measure_of_Aq,
@@ -60,15 +61,17 @@ def dd1(st1):
 # transform sampling
 # ----------------------------------------------------------------------
 
-def test_transform_at_integers_matches_stored_density(st0, st1):
+def test_transform_at_integers_matches_stored_density(st0, st1, density):
     # window-only: the sampled line IS the stored block
     ns = np.arange(0, 58, dtype=float)
     got = transform_samples(st0, ns)
-    want = np.array([st0.density.coeff(int(n)) for n in ns])
+    dens = density(st0)
+    want = np.array([dens.coeff(int(n)) for n in ns])
     assert np.array_equal(got, want)
     ns = np.arange(0, 201, dtype=float)
     got = transform_samples(st1, ns)
-    want = np.array([st1.density.coeff(int(n)) for n in ns])
+    dens = density(st1)
+    want = np.array([dens.coeff(int(n)) for n in ns])
     assert float(np.max(np.abs(got - want))) < 1e-14
 
 
@@ -427,8 +430,9 @@ def _one_union(profile, q):
 def test_target_intervals_wrap_across_the_ends(theta):
     # the p = 0 interval crosses 0 (small theta) or the p = q - 1 one
     # crosses 1 (theta near 1); either must come back at both ends
-    prof = power_law_profile(2.0, 1000, q_min=2, theta=theta,
-                             coprime="unrestricted")
+    prof = ApproximationProfile(q_min=2, q_max=1000, tau=2.0,
+                                theta_value=theta,
+                                coprime_kind="unrestricted")
     for q in (5, 12):
         lo, hi, count = _one_union(prof, q)
         assert count == q and lo[0] == 0.0 and hi[-1] == 1.0
@@ -463,8 +467,8 @@ PSI_NEAR_HALF = ApproximationProfile(
 
 
 @pytest.mark.parametrize("profile", [
-    power_law_profile(2.0, 200, q_min=2, theta=0.0005,
-                      coprime="unrestricted"),
+    ApproximationProfile(q_min=2, q_max=200, tau=2.0, theta_value=0.0005,
+                         coprime_kind="unrestricted"),
     power_law_profile(2.0, 200, q_min=2, theta=0.9995),
     power_law_profile(2.5, 200, q_min=2, theta=0.3),
     ApproximationProfile(q_min=2, q_max=120, coprime_kind="table",
@@ -558,7 +562,7 @@ def test_spike_mass_is_batch_independent(request, name):
 
 
 def test_report_rows_match_one_q_calls(st1, dd1):
-    up = borel_cantelli_report(st1)
+    up = borel_cantelli_report(st1, n_max=500)
     for row in up.per_q:
         lo, hi, _count = _one_union(st1.profile, row["q"])
         assert row["intervals"] == len(lo)
@@ -600,11 +604,10 @@ def test_measure_of_Aq_rejects_nonpositive_modulus(st1, dd1):
             assert measure_of_Aq(st1, q, evaluator=dd1) == 0.0
 
 
-def _series_mass(stage, q):
+def _series_mass(stage, dens, q):
     # oracle: the density series (inheriting its truncation error)
     # paired with the closed-form transform of the interval union
     lo, hi, _count = _one_union(stage.profile, q)
-    dens = stage.density
     L = dens.half_bandwidth
     ls = np.arange(1, L + 1, dtype=float)
     hats0 = float((hi - lo).sum())
@@ -630,7 +633,8 @@ def _monte_carlo_mass(stage, dd, q, samples, seed):
     return acc
 
 
-def test_interval_masses_direct_vs_series(st1, dd1):
+def test_interval_masses_direct_vs_series(st1, dd1, density):
+    dens = density(st1)
     want = {
         3: 0.3797682625776494,
         4: 0.05310334545809189,
@@ -641,7 +645,7 @@ def test_interval_masses_direct_vs_series(st1, dd1):
     for q, value in want.items():
         direct = measure_of_Aq(st1, q, evaluator=dd1)
         assert direct == pytest.approx(value, rel=1e-12)
-        series = _series_mass(st1, q)
+        series = _series_mass(st1, dens, q)
         assert abs(direct - series) < 1e-12
 
 
@@ -653,7 +657,7 @@ def test_interval_mass_monte_carlo(st1, dd1):
 
 
 def test_upper_bound_report_frozen(st1):
-    up = borel_cantelli_report(st1)
+    up = borel_cantelli_report(st1, n_max=500)
     assert up.constant == pytest.approx(1.5198404062239201, rel=1e-12)
     assert up.series_partial == pytest.approx(10.570286815407526, rel=1e-12)
     assert up.measured_partial == pytest.approx(1.8313230953282378, rel=1e-12)
@@ -693,7 +697,8 @@ def test_upper_report_bytes_do_not_depend_on_the_union_batch(
     for chunk in (analyze._UNION_CHUNK, 1 << 17, 1 << 4):
         monkeypatch.setattr(analyze, "_UNION_CHUNK", chunk)
         sizes.clear()
-        write_report_json(borel_cantelli_report(st1), tmp_path / "up.json")
+        write_report_json(borel_cantelli_report(st1, n_max=500),
+                          tmp_path / "up.json")
         texts.append((tmp_path / "up.json").read_bytes())
         assert min(sizes) >= 1 and sum(sizes) == 499, chunk
     assert len(sizes) == 499
@@ -705,7 +710,7 @@ def test_upper_report_allocations_stay_per_batch(st1):
     # all 499 moduli in one batch of target unions took 13.9 MB
     tracemalloc.start()
     try:
-        borel_cantelli_report(st1)
+        borel_cantelli_report(st1, n_max=500)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -774,3 +779,36 @@ def test_upper_csv_layout(st1, tmp_path):
     assert lines[0] == "q,intervals,total_length,measured,bound,ratio"
     assert len(lines) == 1 + len(up.per_q)
     assert float(lines[1].split(",")[3]) == up.per_q[0]["measured"]
+
+
+# ----------------------------------------------------------------------
+# the general case at reference scale
+# ----------------------------------------------------------------------
+
+# an irrational shift, q-dependent pairs (A_q, B_q) with B_q > 1 below
+# 4000, and Q = {q = 1, 2 mod 3}: the kernel's B_q-coprime strides, the
+# B_q > 1 residue masks and residue-class membership, which the
+# reference profile (theta = 0.3, pair (0, 1), every q) never reaches
+GENERAL_PROFILE = ApproximationProfile(
+    q_min=2, q_max=1_000_000, tau=2.0, theta_value=math.sqrt(2.0) - 1.0,
+    coprime_kind="table",
+    pair_table={q: (1, 2) if q % 2 else (3, 4) for q in range(2, 4000)},
+    member_kind="residue_classes", member_modulus=3, member_classes=(1, 2))
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["one", "two"])
+def general(request):
+    stage = build_measure(GENERAL_PROFILE, eta=0.3, eps=0.05,
+                          stages=request.param)
+    assert stage.stages == request.param
+    return stage
+
+
+def test_general_profile_reports(general):
+    assert decay_report(general).nu_hat_zero == pytest.approx(1.0, abs=1e-12)
+    up = borel_cantelli_report(general, n_max=500)
+    assert up.z_direct == pytest.approx(general.normalization, rel=1e-9)
+    assert math.isfinite(up.constant)
+    scan = support_witness_scan(general, threshold=0.0)
+    assert scan["positive_points"] > 0
+    assert scan["failures"] == []

@@ -18,7 +18,6 @@ from dfourier.arith import (
     divisor_sum,
     divisors,
     factorize,
-    grs_bound_ratio,
     mobius,
     ramanujan_period,
     ramanujan_period_dense,
@@ -298,14 +297,6 @@ def test_period_lines_agree():
             lhs = ramanujan_period(q, a, b)
             rhs = ramanujan_period_dense(q, a, b)
             assert np.abs(lhs - rhs).max() < 1e-9
-
-
-def test_grs_bound_ratio_preconditions():
-    with pytest.raises(ValueError):
-        grs_bound_ratio(1, 1)
-    with pytest.raises(ValueError):
-        grs_bound_ratio(5, 0)
-    assert grs_bound_ratio(2, 1) == pytest.approx(1 / math.log(2))
 
 
 def test_bound_ratio_scan_small():

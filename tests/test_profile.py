@@ -77,7 +77,7 @@ def _same_bucket(a, b, rel=0.0):
     # of its math.fsum
     return (np.array_equal(a.members, b.members)
             and abs(a.mass - b.mass) <= rel * b.mass
-            and (a.scale, a.k) == (b.scale, b.k))
+            and a.k == b.k)
 
 
 def test_bucket_memo_matches_fresh_profiles():
@@ -119,7 +119,7 @@ def _oracle_bucket(p, eta, k, qs, idx):
     # the mass as an exactly rounded sum
     members = qs[idx == k]
     psi = p.psi_values(members)
-    return Bucket(scale=1 << k, k=k, members=members,
+    return Bucket(k=k, members=members,
                   mass=math.fsum((psi / members) ** eta))
 
 
