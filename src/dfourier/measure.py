@@ -62,7 +62,7 @@ from .arith import TWO_PI, divisor_hits, divisor_sum, divisors
 from .bump import BumpSpec
 from .errors import (ArtifactError, BandwidthBudgetError, ProfileError,
                      WindowExhaustedError)
-from .profile import ApproximationProfile
+from .profile import ApproximationProfile, Bucket
 from .series import TruncatedFourierSeries, constant_series, series_multiply
 
 _ARTIFACT_MAGIC = b"DFMS"
@@ -537,13 +537,23 @@ def gm_series(profile: ApproximationProfile, bump: BumpSpec, eta: float,
               band_cap: int | None = None) -> GmFactor:
     """Assemble the factor at one dyadic scale on a certified band.
 
-    Raises ``WindowExhaustedError`` for an empty bucket.  One band search
-    sizes the band.  Without a ``band_cap``, a band past the budget raises
-    ``BandwidthBudgetError`` quoting the whole certified band; with one,
-    the band is cut at the cap and its (larger) envelope tail is recorded
-    honestly.
+    Raises ``WindowExhaustedError`` for an empty bucket; ``_factor``
+    sizes the band.
     """
-    bucket, data = _bucket_data(profile, eta, scale)
+    return _factor(*_bucket_data(profile, eta, scale), bump, tail_tol,
+                   budget, band_cap)
+
+
+def _factor(bucket: Bucket, data: _MemberTable, bump: BumpSpec,
+            tail_tol: float, budget: int, band_cap: int | None) -> GmFactor:
+    """The factor of one bucket and its member table on a certified band.
+
+    One band search sizes the band.  Without a ``band_cap``, a band past
+    the budget raises ``BandwidthBudgetError`` quoting the whole certified
+    band; with one, the band is cut at the cap and its (larger) envelope
+    tail is recorded honestly.
+    """
+    scale = 1 << bucket.k
     budget_cap = (budget - 1) // 2
     cap = budget_cap if band_cap is None else min(band_cap, budget_cap)
     L = certified_half_bandwidth(lambda L: envelope_tail(data, bump, L),
@@ -626,11 +636,12 @@ def window_samples(coeffs: np.ndarray, xi_grid: np.ndarray, bump: BumpSpec,
     return out
 
 
-def stability_gap(profile: ApproximationProfile, bump: BumpSpec, eta: float,
+def stability_gap(data: _MemberTable, bump: BumpSpec, eta: float,
                   eps: float, scale: int, periodic: TruncatedFourierSeries,
                   xi_grid: np.ndarray, kernel_halfwidth: int) -> dict:
     """Weighted sup over the grid of the candidate-induced perturbation.
 
+    ``data`` is the member table of the candidate's bucket at ``scale``.
     ``periodic`` is the series of the g-product accumulated so far,
     without the window h0 (the constant series on the opening stage).
     The perturbation at xi is sum over l != 0 of ghat_M(l) * hhat(xi - l)
@@ -640,7 +651,6 @@ def stability_gap(profile: ApproximationProfile, bump: BumpSpec, eta: float,
     ``window_samples``.  The weight is (1 + |xi|)**(eta - eps).  Returns
     the probe's log row: scale, gap, xi_argmax and remainder_bound.
     """
-    _, data = _bucket_data(profile, eta, scale)
     d_h = int(kernel_halfwidth)
     l_g = periodic.half_bandwidth
     xi_top = int(math.ceil(float(xi_grid[-1])))
@@ -674,30 +684,33 @@ def stability_gap(profile: ApproximationProfile, bump: BumpSpec, eta: float,
 
 
 def select_next_scale(profile: ApproximationProfile, bump: BumpSpec, eta: float,
-                      eps: float, scale_entries, prev_scale: int,
+                      eps: float, scales, prev_scale: int,
                       threshold: float | None,
                       periodic: TruncatedFourierSeries, xi_grid: np.ndarray,
-                      kernel_halfwidth: int, gap_log: list) -> dict:
+                      kernel_halfwidth: int, gap_log: list) -> tuple:
     """First admissible scale past 2*prev_scale whose gap clears the threshold.
 
-    ``threshold`` is None on the opening stage, where the first candidate
-    is accepted unconditionally and its gap calibrates the later stages.
-    The stage's probe rows go to ``gap_log`` before the first probe, so
-    the log holds them however the selection ends; the accepted row is
-    returned.  Exhausting the admissible list raises
+    ``scales`` is the build's one ``admissible_scales`` walk, shared by
+    its stages.  ``threshold`` is None on the opening stage, where the
+    first candidate is accepted unconditionally and its gap calibrates
+    the later stages.  The stage's probe rows go to ``gap_log`` before the
+    first probe, so the log holds them however the selection ends.
+    Returns the accepted row with the bucket and member table it probed,
+    which the factor assembly takes over.  Exhausting the walk raises
     ``WindowExhaustedError`` with the largest scale tried and its gap.
     """
     tried: list[dict] = []
     gap_log.append(tried)
-    for entry in scale_entries:
+    for entry in scales:
         if entry.scale <= 2 * prev_scale:
             continue
+        bucket, data = _bucket_data(profile, eta, entry.scale)
         row = {"threshold": threshold,
-               **stability_gap(profile, bump, eta, eps, entry.scale, periodic,
+               **stability_gap(data, bump, eta, eps, entry.scale, periodic,
                                xi_grid, kernel_halfwidth)}
         tried.append(row)
         if threshold is None or row["gap"] <= threshold:
-            return row
+            return row, bucket, data
     message = "no admissible scale satisfies the stability threshold"
     if tried:
         message += (f" (largest scale tried: {tried[-1]['scale']}, "
@@ -954,6 +967,12 @@ def build_measure(profile: ApproximationProfile, eta: float, eps: float,
     analysis window actually consumes, with the dropped mass reaching the
     window only through the kernel envelope across the guard margin.
 
+    The stages share one ``admissible_scales`` walk, which builds each
+    scale's entry only when the selection reaches it, so the window is
+    labelled only as far as the probed buckets reach (only the
+    ``dfourier buckets`` table, through ``scale_set``, labels all of it).
+    An accepted probe's bucket and member table make its factor.
+
     A build stops in one place: a budget overflow or an exhausted scale
     window, at any stage, escapes with the artifact of the completed
     stages attached as ``partial``, its gap log still carrying the
@@ -974,7 +993,7 @@ def build_measure(profile: ApproximationProfile, eta: float, eps: float,
         raise ProfileError("stage count must be nonnegative")
     h0 = cfg.h0()                       # raises on an unreachable tail_tol
 
-    entries = profile.scale_set(eta).admissible()
+    scales = profile.admissible_scales(eta)
     xi_grid = build_xi_grid(cfg.xi_max, cfg.samples_per_band)
     # non-final products reserve the window band so the density product
     # in _finalize can never be the first thing to overflow
@@ -988,8 +1007,8 @@ def build_measure(profile: ApproximationProfile, eta: float, eps: float,
     try:
         for stage in range(1, stages + 1):
             threshold = None if stage == 1 else c_stab * 2.0 ** (-stage)
-            probe = select_next_scale(
-                profile, bump, eta, eps, entries,
+            probe, bucket, data = select_next_scale(
+                profile, bump, eta, eps, scales,
                 factors[-1].scale if factors else 0, threshold, gprod,
                 xi_grid, cfg.kernel_halfwidth, gap_log)
             if stage == 1:
@@ -1006,9 +1025,8 @@ def build_measure(profile: ApproximationProfile, eta: float, eps: float,
                     raise BandwidthBudgetError(2 * (reach + band_cap) + 1,
                                                cfg.bandwidth_budget,
                                                "final stage product")
-            factor = gm_series(profile, bump, eta, probe["scale"],
-                               cfg.tail_tol, cfg.bandwidth_budget,
-                               band_cap=band_cap)
+            factor = _factor(bucket, data, bump, cfg.tail_tol,
+                             cfg.bandwidth_budget, band_cap)
             gprod = series_multiply(gprod, factor.series, prod_budget,
                                     where=f"stage {stage} product")
             factors.append(factor)

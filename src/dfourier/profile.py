@@ -29,6 +29,8 @@ _MEMBER_KINDS = ("all", "list", "residue_classes")
 _SNAP_RTOL = 1e-12
 # denominators labelled per pass of the bucket labeller
 _CHUNK = 1 << 16
+# relative margin on k + 1 in a bucket's reach (``_reach``)
+_REACH_RTOL = 1e-9
 
 
 def _freeze_table(table) -> tuple:
@@ -163,8 +165,8 @@ class ApproximationProfile:
                             ("_theta", self.theta_table),
                             ("_pair", self.pair_table)):
             object.__setattr__(self, name, dict(table))
-        # _bucket_labels() memo per eta: (labels, labelled length, and
-        # the count and mass of each bucket index over the labelled chunks)
+        # _bucket_labels() memo per eta: (labels of the labelled chunks,
+        # and the count and mass of each bucket index over them)
         object.__setattr__(self, "_labels", {})
         object.__setattr__(self, "member_list",
                            tuple(sorted(int(q) for q in self.member_list)))
@@ -370,31 +372,53 @@ class ApproximationProfile:
 
     # -- dyadic buckets ----------------------------------------------------
 
+    def _reach(self, eta: float, k: int) -> int:
+        """Largest q that bucket k can hold, at most q_max.
+
+        A q lies in bucket k only if u <= k + 1, up to the 1e-12 snap.
+        Power-law radii have u = eta (1 + tau) log2 q, so bucket k ends at
+        the closed-form edge q <= 2**((k + 1)/(eta (1 + tau))); every other
+        radius is below 1/2, so u > eta (log2 q + 1) and q lies below
+        2**((k + 1)/eta - 1).  k + 1 takes the relative margin
+        ``_REACH_RTOL``, far above the snap and the rounding of u, and the
+        exponent is capped at 63, so a huge k covers the window without
+        an overflow.
+        """
+        top = (k + 1) * (1.0 + _REACH_RTOL) / eta
+        e = top / (1.0 + self.tau) if self.psi_kind == "power_law" else top - 1
+        return min(self.q_max, math.floor(2.0 ** min(e, 63.0)))
+
     def _bucket_labels(self, eta: float, k: int | None = None) -> np.ndarray:
         """Bucket index (int16, -1 off the members) of each q from q_min up
-        to the reach of bucket k, or of the whole window when k is None.
+        to ``_reach(eta, k)``, or of the whole window when k is None.
 
-        Every radius is below 1/2, so u > eta (log2 q + 1) and a q past
-        2**((k + 2)/eta - 1) lies above bucket k.  Chunks of ``_CHUNK``
-        denominators are labelled from q_min up, each once per eta, and
-        each chunk's per-bucket counts and masses are added to the
-        memo's, in chunk order: so bucket k's count and mass are whole
-        once its reach is labelled.
+        Chunks of ``_CHUNK`` denominators are labelled from q_min up, each
+        once per eta, and each chunk's per-bucket counts and masses are
+        added to the memo's, in chunk order: so bucket k's count and mass
+        are whole once its reach is labelled.  The memo's label array holds
+        the labelled chunks only; a call that labels more grows it once,
+        to the end of its last chunk.
         """
         if not 0.0 < eta < 1.0:
             raise ProfileError("weight exponent eta must lie in (0, 1)")
-        top = self.q_max if k is None else min(
-            self.q_max, math.floor(2.0 ** min((k + 2) / eta - 1, 63.0)))
-        labels, done, counts, masses = self._labels.get(eta) or (
-            np.full(self.q_max - self.q_min + 1, -1, dtype=np.int16), 0,
-            np.zeros(0, dtype=np.int64), np.zeros(0))
-        while self.q_min + done <= top:
-            part = self._label_chunk(eta, labels, done)
-            counts, masses = (_add_padded(total, new)
-                              for total, new in zip((counts, masses), part))
-            done += _CHUNK
-        self._labels[eta] = (labels, done, counts, masses)
-        return labels[:max(top - self.q_min + 1, 0)]
+        top = self.q_max if k is None else self._reach(eta, k)
+        need = top - self.q_min + 1
+        labels, counts, masses = self._labels.get(eta) or (
+            np.zeros(0, dtype=np.int16), np.zeros(0, dtype=np.int64),
+            np.zeros(0))
+        done = len(labels)
+        if need > done:
+            grown = np.full(min(self.q_max - self.q_min + 1,
+                                done + -(-(need - done) // _CHUNK) * _CHUNK),
+                            -1, dtype=np.int16)
+            grown[:done] = labels
+            labels = grown
+            for start in range(done, len(labels), _CHUNK):
+                part = self._label_chunk(eta, labels, start)
+                counts, masses = (_add_padded(total, new)
+                                  for total, new in zip((counts, masses), part))
+        self._labels[eta] = (labels, counts, masses)
+        return labels[:max(need, 0)]
 
     def _label_chunk(self, eta: float, labels: np.ndarray,
                      start: int) -> tuple:
@@ -423,7 +447,7 @@ class ApproximationProfile:
     def _sums(self, eta: float, k: int) -> tuple:
         """Count and mass of bucket k from the memo; its reach must be
         labelled."""
-        _, _, counts, masses = self._labels[eta]
+        _, counts, masses = self._labels[eta]
         if k >= len(counts):
             return 0, 0.0
         return int(counts[k]), float(masses[k])
@@ -445,10 +469,15 @@ class ApproximationProfile:
         return Bucket(k=k, members=members,
                       mass=self._sums(eta, k)[1])
 
+    def _closed_edge(self) -> bool:
+        """Whether bucket edges have a closed form: power-law radii on
+        every q of the window."""
+        return self.psi_kind == "power_law" and self.member_kind == "all"
+
     def _window_limited(self, eta: float, k: int) -> bool:
-        """Whether bucket k may have been cut off by the window; the
-        whole window must be labelled."""
-        if self.psi_kind == "power_law" and self.member_kind == "all":
+        """Whether bucket k may have been cut off by the window; without
+        the closed-form edge, the whole window must be labelled."""
+        if self._closed_edge():
             c = eta * (1.0 + self.tau)
             q_lo = 2.0 ** (k / c)
             q_hi = 2.0 ** ((k + 1) / c)
@@ -461,27 +490,50 @@ class ApproximationProfile:
         return bool(self._sums(eta, k)[0] == 0 or labels[0] == k
                     or labels[-1] == k)
 
-    def scale_set(self, eta: float, k_max: int | None = None) -> "ScaleSet":
-        """All dyadic scales with their bucket mass and admissibility.
+    def _scale_entry(self, eta: float, k: int) -> "ScaleEntry":
+        """The entry of scale M = 2**k, from the labels up to bucket k's
+        reach; without the closed-form edge, from the whole window's,
+        which the edge rule reads."""
+        self._bucket_labels(eta, k if self._closed_edge() else None)
+        M = 1 << k
+        count, mass = self._sums(eta, k)
+        return ScaleEntry(k=k, scale=M, count=count, mass=mass,
+                          qualifies=bool(mass >= 1.0 / k**2),
+                          window_limited=self._window_limited(eta, k),
+                          size_ratio=count / (M / math.log(M) ** 2))
 
-        A scale M = 2**k qualifies when its bucket mass is at least
-        1/k**2; it is admissible when it also is not window-limited.
-        It labels the whole window (once per eta, in chunks) and reads
-        every count and mass from the labels' memo, cutting no bucket.
+    def scale_set(self, eta: float, k_max: int | None = None) -> "ScaleSet":
+        """All dyadic scales up to the window's top label (or ``k_max``)
+        with their bucket count, mass and admissibility.
+
+        It labels the whole window (once per eta, in chunks), for the
+        ``dfourier buckets`` table; a build walks ``admissible_scales``
+        instead.  Every count and mass is read from the labels' memo.
         """
         top = int(self._bucket_labels(eta).max(initial=0))
         if k_max is not None:
             top = max(top, int(k_max))
-        entries = []
-        for k in range(1, top + 1):
-            M = 1 << k
-            count, mass = self._sums(eta, k)
-            entries.append(ScaleEntry(
-                k=k, scale=M, count=count, mass=mass,
-                qualifies=bool(mass >= 1.0 / k**2),
-                window_limited=self._window_limited(eta, k),
-                size_ratio=count / (M / math.log(M) ** 2)))
-        return ScaleSet(entries=tuple(entries))
+        return ScaleSet(entries=tuple(self._scale_entry(eta, k)
+                                      for k in range(1, top + 1)))
+
+    def admissible_scales(self, eta: float):
+        """The admissible entries of ``scale_set(eta)``, k ascending, each
+        built only when the walk reaches it.
+
+        Entry k labels the window only as far as bucket k reaches (the
+        whole window without the closed-form edge).  The walk ends past
+        the window's top label, where ``scale_set`` ends: once the whole
+        window is labelled and k is past every label.
+        """
+        k = 1
+        while True:
+            entry = self._scale_entry(eta, k)
+            labels, counts, _ = self._labels[eta]
+            if k >= len(counts) and len(labels) == self.q_max - self.q_min + 1:
+                return
+            if entry.admissible:
+                yield entry
+            k += 1
 
 
 def _add_padded(total: np.ndarray, part: np.ndarray) -> np.ndarray:
@@ -516,6 +568,8 @@ class Bucket:
 
 @dataclass(frozen=True)
 class ScaleEntry:
+    """One dyadic scale: M = 2**k qualifies when its bucket mass is at
+    least 1/k**2, and is admissible when it also is not window-limited."""
     k: int
     scale: int
     count: int
@@ -524,15 +578,15 @@ class ScaleEntry:
     window_limited: bool
     size_ratio: float
 
+    @property
+    def admissible(self) -> bool:
+        return self.qualifies and not self.window_limited
+
 
 @dataclass(frozen=True)
 class ScaleSet:
-    """Bucket summary per dyadic scale plus the admissible subset."""
+    """Bucket summary per dyadic scale."""
     entries: tuple
-
-    def admissible(self) -> tuple:
-        return tuple(e for e in self.entries
-                     if e.qualifies and not e.window_limited)
 
 
 def power_law_profile(tau: float, q_max: int, q_min: int | None = None,

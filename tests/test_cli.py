@@ -171,14 +171,29 @@ def test_buckets_bad_k_range_is_usage_error(tmp_path, capsys, k_range):
 @pytest.mark.parametrize("command", ["buckets", "build"])
 def test_out_of_memory_is_usage_error(tmp_path, capsys, command):
     # labelling a window of 2**62 denominators asks for exbibytes, more
-    # than the address space, so the allocation fails at once
-    cfg = tiny_config(tmp_path, 2**62, stages=1)
+    # than the address space, so the allocation fails at once: the
+    # buckets table labels the whole window, and so does a build whose
+    # edge rule reads the labels (residue-class membership)
+    cfg = tiny_config(tmp_path, 2**62, stages=1, profile=tiny_profile(
+        2**62, q_member={"kind": "residue_classes", "modulus": 7,
+                         "classes": [1, 3]}))
     assert main([command, "--config", cfg,
                  "--output-dir", str(tmp_path / "o")]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_power_law_window_of_2_62_builds(tmp_path, capsys):
+    # power-law buckets have a closed-form edge: the build labels only
+    # as far as its probes reach, so the 2**62 window builds
+    out_dir = tmp_path / "o"
+    cfg = tiny_config(tmp_path, 2**62, stages=1, xi_max=4096)
+    assert main(["build", "--config", cfg,
+                 "--output-dir", str(out_dir)]) == EXIT_OK
+    assert "stage 1: scale M=4 accepted" in capsys.readouterr().out
+    assert MeasureStage.load(out_dir / "stage.bin").profile.q_max == 2**62
 
 
 def test_buckets_needs_profile(tmp_path, capsys):

@@ -31,7 +31,9 @@ from dfourier import (
 )
 from dfourier import analyze, measure
 from dfourier.arith import divisor_sum, divisors, residue_set
-from dfourier.measure import _member_data, assemble_line, stability_gap
+from dfourier.measure import (_member_data, assemble_line, select_next_scale,
+                               stability_gap)
+from dfourier.profile import _CHUNK
 
 BUMP = BumpSpec()
 ETA, EPS = 0.3, 0.05
@@ -122,9 +124,15 @@ def test_empty_bucket_is_window_exhaustion():
     assert tiny.bucket(ETA, 256).count == 0
     with pytest.raises(WindowExhaustedError, match="scale 256"):
         gm_series(tiny, BUMP, ETA, 256, 1e-8, 1 << 20)
-    with pytest.raises(WindowExhaustedError, match="scale 256"):
-        stability_gap(tiny, BUMP, ETA, EPS, 256, constant_series(),
-                      build_xi_grid(4, 4), 8)
+    # the walk never reaches an empty bucket: past the window's buckets
+    # it ends, and the selection with it
+    log = []
+    with pytest.raises(WindowExhaustedError,
+                       match="no admissible scale satisfies"):
+        select_next_scale(tiny, BUMP, ETA, EPS, tiny.admissible_scales(ETA),
+                          128, 1.0, constant_series(), build_xi_grid(4, 4),
+                          8, log)
+    assert log == [[]]
 
 
 def test_assemble_line_rejects_an_empty_member_list():
@@ -689,8 +697,10 @@ def test_envelope_tail_sum_arrays_equal_scalar_formula():
 
 def test_opening_gap_anchor(reference_profile):
     grid = build_xi_grid(65536, 32)
-    gap = stability_gap(reference_profile, BUMP, ETA, EPS, 4,
-                        constant_series(), grid, kernel_halfwidth=64)
+    data = _member_data(reference_profile,
+                        reference_profile.bucket(ETA, 4).members)
+    gap = stability_gap(data, BUMP, ETA, EPS, 4, constant_series(), grid,
+                        kernel_halfwidth=64)
     assert set(gap) == {"scale", "gap", "xi_argmax", "remainder_bound"}
     assert gap["scale"] == 4
     assert gap["gap"] == pytest.approx(1.725756431926317, rel=1e-12)
@@ -703,24 +713,58 @@ def test_opening_gap_anchor(reference_profile):
 def test_probe_allocations_stay_near_the_line(reference_profile, monkeypatch):
     # the M=256 stage-2 probe on 2 CPUs: its line, with the scratch and
     # the later-block pieces of assemble_line, sets a traced peak of
-    # 9.7 MB; spare copies of the probe arrays (the candidate's half line
-    # and full line kept alive, a padded product block, full-length
-    # Hermitian checks) and four live pieces took it to 12.3 MB
+    # 9.7 MB with the member table built inside the trace; spare copies
+    # of the probe arrays (the candidate's half line and full line kept
+    # alive, a padded product block, full-length Hermitian checks) and
+    # four live pieces took it to 12.3 MB
     periodic = gm_series(reference_profile, BUMP, ETA, 4, 1e-8,
                          1 << 20).series
     grid = build_xi_grid(65536, 32)
-    # the labels and the factorize cache are filled outside the trace
-    _member_data(reference_profile, reference_profile.bucket(ETA, 256).members)
+    # the member table, the labels and the factorize cache are built
+    # outside the trace
+    data = _member_data(reference_profile,
+                        reference_profile.bucket(ETA, 256).members)
     _cpus(monkeypatch, 2)
     tracemalloc.start()
     try:
-        gap = stability_gap(reference_profile, BUMP, ETA, EPS, 256,
-                            periodic, grid, kernel_halfwidth=64)
+        gap = stability_gap(data, BUMP, ETA, EPS, 256, periodic, grid,
+                            kernel_halfwidth=64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert gap["gap"] == pytest.approx(0.5359429214178216, rel=1e-12)
     assert peak <= 10.5e6
+
+
+def test_build_labels_and_tables_only_the_probed_buckets(monkeypatch):
+    # the reference build walks the scales lazily: its probes reach
+    # M = 256, whose bucket ends at q = 1,024, so only chunk 0 of the
+    # window is labelled, and the label array holds that chunk alone.
+    # Each probed scale's member table is built once: the accepted
+    # probes hand theirs to the factor assembly.
+    chunks, tables = [], []
+    label = ApproximationProfile._label_chunk
+
+    def counted(self, eta, labels, start):
+        chunks.append((eta, start))
+        return label(self, eta, labels, start)
+
+    def member_data(profile, members):
+        tables.append(members)
+        return _member_data(profile, members)
+    monkeypatch.setattr(ApproximationProfile, "_label_chunk", counted)
+    monkeypatch.setattr(measure, "_member_data", member_data)
+    prof = power_law_profile(2.0, 1_000_000, q_min=2, theta=0.3)
+    with pytest.raises(BandwidthBudgetError,
+                       match="factor at scale 256") as err:
+        build_measure(prof, eta=ETA, eps=EPS, stages=3)
+    assert err.value.partial.scales == (4,)
+    assert chunks == [(ETA, 0)]
+    assert len(prof._labels[ETA][0]) == _CHUNK
+    probed = (4, 16, 32, 64, 128, 256)
+    assert len(tables) == len(probed)
+    for members, scale in zip(tables, probed):
+        assert np.array_equal(members, prof.bucket(ETA, scale).members)
 
 
 def test_probe_log_records_the_selection_path(st2):

@@ -12,8 +12,8 @@ from dfourier.arith import coprime_density
 from dfourier.bump import BumpSpec
 from dfourier.errors import ProfileError
 from dfourier.measure import build_measure, gm_series
-from dfourier.profile import (_CHUNK, ApproximationProfile, Bucket,
-                              power_law_profile)
+from dfourier.profile import (_CHUNK, _REACH_RTOL, ApproximationProfile,
+                              Bucket, power_law_profile)
 
 
 @pytest.fixture(scope="module")
@@ -143,18 +143,22 @@ def _count_chunks(monkeypatch):
     return seen
 
 
-def _reach(eta, k):
-    # log2 of the largest q bucket k can hold: u > eta (log2 q + 1)
-    return (k + 2) / eta - 1
+def _reach(p, eta, k):
+    # log2 of the largest q bucket k can hold, u <= k + 1 up to the snap:
+    # u = eta (1 + tau) log2 q for power-law radii, u > eta (log2 q + 1)
+    # for any radius below 1/2
+    top = (k + 1) * (1 + _REACH_RTOL) / eta
+    return top / (1 + p.tau) if p.psi_kind == "power_law" else top - 1
 
 
 def test_scale_set_fills_the_bucket_memo(monkeypatch):
     # scale_set's buckets are the same floats as fresh profiles' bucket()
-    # calls, and a one-stage build labels each chunk of the window once
+    # calls, and a one-stage build labels only the chunks its probe
+    # reaches, each once
     warm = power_law_profile(2.0, 50_000, q_min=2, theta=0.3)
     for eta in (0.3, 0.5):
         sset = warm.scale_set(eta, k_max=24)
-        assert sset.admissible()
+        assert any(e.admissible for e in sset.entries)
         for e in sset.entries:
             fresh = power_law_profile(2.0, 50_000, q_min=2, theta=0.3)
             want = fresh.bucket(eta, e.scale)
@@ -167,13 +171,11 @@ def test_scale_set_fills_the_bucket_memo(monkeypatch):
             warm.bucket(eta, scale)
 
     seen = _count_chunks(monkeypatch)
-    build_measure(power_law_profile(2.0, 1_000_000, q_min=2, theta=0.3),
-                  eta=0.3, eps=0.05, stages=1)
-    assert len(seen) == len(set(seen))
-    assert {eta for _, eta, _ in seen} == {0.3}
-    # scale_set needs the whole window: every chunk, each once
-    assert sorted(start for _, _, start in seen) == list(
-        range(0, 999_999, _CHUNK))
+    prof = power_law_profile(2.0, 1_000_000, q_min=2, theta=0.3)
+    build_measure(prof, eta=0.3, eps=0.05, stages=1)
+    # the opening probe at M = 4 reaches q = 10: chunk 0 alone
+    assert seen == [(id(prof), 0.3, 0)]
+    assert len(prof._labels[0.3][0]) == _CHUNK
 
 
 def test_bucket_labels_index_the_window_once_per_eta(monkeypatch):
@@ -186,9 +188,8 @@ def test_bucket_labels_index_the_window_once_per_eta(monkeypatch):
             want = _oracle_bucket(warm, eta, k, qs, idx)
             assert _same_bucket(warm.bucket(eta, 1 << k), want,
                                 rel=1e-13), (eta, k)
-        labels, done = warm._labels[eta][:2]
+        labels = warm._labels[eta][0]
         assert labels.dtype == np.int16 and labels.nbytes == 2 * 49_999
-        assert done >= 49_999
 
     seen = _count_chunks(monkeypatch)
     prof = power_law_profile(2.0, 1_000_000, q_min=2, theta=0.3)
@@ -196,19 +197,21 @@ def test_bucket_labels_index_the_window_once_per_eta(monkeypatch):
         gm_series(prof, BumpSpec(), 0.3, scale, 1e-8, 1 << 26,
                   band_cap=2000)
     assert len(seen) == len(set(seen))
-    # M = 16 reaches q = 2**19; the chunks past it stay unlabelled
+    # M = 16 reaches q = 2**5.56; the chunks past it stay unlabelled
     assert [start for _, _, start in seen] == list(
-        range(0, math.floor(2 ** _reach(0.3, 4)) - 1, _CHUNK))
+        range(0, math.floor(2 ** _reach(prof, 0.3, 4)) - 1, _CHUNK)) == [0]
+    assert len(prof._labels[0.3][0]) == _CHUNK
 
 
 def test_bucket_labels_no_chunk_past_its_reach(monkeypatch):
-    # the M = 4 bucket of the reference window needs q <= 2**12.3 only:
+    # the M = 4 bucket of the reference window needs q <= 2**3.33 only:
     # one chunk of 16, and the same bucket as a whole-window cut
     seen = _count_chunks(monkeypatch)
     prof = power_law_profile(2.0, 1_000_000, q_min=2, theta=0.3)
     got = prof.bucket(0.3, 4)
     assert seen == [(id(prof), 0.3, 0)]
-    assert all(prof.q_min + start <= 2 ** _reach(0.3, 2)
+    assert len(prof._labels[0.3][0]) == _CHUNK
+    assert all(prof.q_min + start <= 2 ** _reach(prof, 0.3, 2)
                for _, _, start in seen)
     qs, idx = _whole_window_labels(prof, 0.3)
     assert _same_bucket(got, _oracle_bucket(prof, 0.3, 2, qs, idx), rel=1e-13)
@@ -220,6 +223,7 @@ def test_bucket_labels_no_chunk_past_its_reach(monkeypatch):
     # window without an overflow
     assert prof.bucket(0.3, 1 << 400).count == 0
     assert len(seen) == len(range(0, 999_999, _CHUNK))
+    assert len(prof._labels[0.3][0]) == 999_999
 
 
 def _table_profile():
@@ -251,7 +255,8 @@ def _check_against_oracle(kind, eta):
     # buckets asked for from the lowest up, so the labels grow by chunks
     # as the reach grows; each is the oracle's cut, its mass within 1e-13
     # of the exactly rounded sum, and ends below its reach; scale_set on
-    # the same profile agrees with both
+    # the same profile agrees with both, and the lazy walk on a fresh
+    # profile yields exactly scale_set's admissible entries
     prof = _ORACLE_PROFILES[kind]()
     qs, idx = _whole_window_labels(prof, eta)
     top = int(idx.max()) + 2
@@ -261,7 +266,11 @@ def _check_against_oracle(kind, eta):
         assert _same_bucket(got[k], _oracle_bucket(prof, eta, k, qs, idx),
                             rel=1e-13), k
         if got[k].count:
-            assert math.log2(got[k].members[-1]) <= _reach(eta, k)
+            assert math.log2(got[k].members[-1]) <= _reach(prof, eta, k)
+        # the label array ends with the chunk that holds the reach
+        reach = math.floor(2 ** min(_reach(prof, eta, k), 63))
+        assert len(prof._labels[eta][0]) <= max(0, reach - prof.q_min
+                                                 + _CHUNK)
     entries = prof.scale_set(eta, k_max=top).entries
     assert [e.k for e in entries] == list(range(1, top + 1))
     for e in entries:
@@ -270,6 +279,10 @@ def _check_against_oracle(kind, eta):
             want.count, want.mass,
             _oracle_limited(prof, eta, e.k, want.members)), e.k
         assert e.count == int(np.sum(idx == e.k))
+    walk = list(_ORACLE_PROFILES[kind]().admissible_scales(eta))
+    assert walk == [e for e in prof.scale_set(eta).entries if e.admissible]
+    assert all(e.admissible == (e.qualifies and not e.window_limited)
+               for e in entries)
 
 
 @pytest.mark.parametrize("eta", [0.3, 0.5, 0.9])
@@ -313,8 +326,9 @@ def test_reference_scale_set(reference_profile):
         assert e.qualifies == (e.mass >= 1.0 / e.k ** 2)
         assert e.size_ratio == pytest.approx(
             e.count / (e.scale / math.log(e.scale) ** 2), rel=1e-12)
-    assert [e.scale for e in sset.admissible()] == [
-        e.scale for e in sset.entries
+    # the build's walk stops at the window's top label, as scale_set does
+    assert list(reference_profile.admissible_scales(0.3)) == [
+        e for e in reference_profile.scale_set(0.3).entries
         if e.qualifies and not e.window_limited]
 
 
