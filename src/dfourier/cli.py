@@ -188,6 +188,10 @@ def cmd_buckets(args: argparse.Namespace) -> int:
     except OverflowError:
         raise ProfileError(f"--k-range {args.k_range!r} reaches scales 2**k "
                            f"that overflow a float") from None
+    if not sset.entries and k_hi is None:
+        print(f"error: no member lies in a bucket of scale M >= 2 "
+              f"at eta = {eta!r}", file=sys.stderr)
+        return EXIT_WINDOW
     rows = [e for e in sset.entries
             if e.k >= k_lo and (k_hi is None or e.k <= k_hi)]
     header = f"{'k':>3} {'M':>8} {'count':>8} {'mass':>14} " \

@@ -423,16 +423,20 @@ class ApproximationProfile:
     def _label_chunk(self, eta: float, labels: np.ndarray,
                      start: int) -> tuple:
         """labels[start:start + _CHUNK]: u = eta log2(q/psi), snapped to
-        an integer within one part in 1e12, then ceil(u) - 1.  Returns
-        the chunk's count and mass per bucket index; a mass is the
-        pairwise ``np.sum`` of its (psi/q)**eta in q order."""
+        an integer r >= 1 within one part in 1e12, then ceil(u) - 1.
+        Returns the chunk's count and mass per bucket index; a mass is the
+        pairwise ``np.sum`` of its (psi/q)**eta in q order.
+
+        q >= 2 and psi < 1/2 give u > 2 eta > 0, so every label is at
+        least 0; a u within the snap of 0 (eta below about 1e-12) is not
+        a boundary hit and stays in bucket 0."""
         qs = self.q_min + np.arange(start, min(start + _CHUNK, len(labels)))
         qs = qs[self.member_mask(qs)]
         psi = self.psi_values(qs)
         qs, psi = qs[psi > 0.0], psi[psi > 0.0]
         u = eta * (np.log2(qs.astype(float)) - np.log2(psi))
         r = np.round(u)
-        snap = np.abs(u - r) <= _SNAP_RTOL * np.maximum(1.0, np.abs(u))
+        snap = (r >= 1.0) & (np.abs(u - r) <= _SNAP_RTOL * np.maximum(1.0, u))
         lab = (np.where(snap, r, np.ceil(u)) - 1).astype(np.int16)
         labels[qs - self.q_min] = lab
         counts = np.bincount(lab)
@@ -479,8 +483,11 @@ class ApproximationProfile:
         the closed-form edge, the whole window must be labelled."""
         if self._closed_edge():
             c = eta * (1.0 + self.tau)
-            q_lo = 2.0 ** (k / c)
-            q_hi = 2.0 ** ((k + 1) / c)
+            # exponents capped at 1023, the largest a float holds: past it
+            # both edges lie beyond any window, and a tiny eta does not
+            # overflow
+            q_lo = 2.0 ** min(k / c, 1023.0)
+            q_hi = 2.0 ** min((k + 1) / c, 1023.0)
             first = math.floor(q_lo) + 1
             last = math.floor(q_hi)
             return first < self.q_min or last > self.q_max

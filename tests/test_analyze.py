@@ -35,6 +35,7 @@ from dfourier import analyze
 from dfourier.analyze import (DirectDensity, _clip_to_union, _merge_intervals,
                               _target_unions)
 from dfourier.arith import residue_set
+from dfourier.measure import BuildConfig, build_xi_grid
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +140,30 @@ def test_pointwise_floor_frozen(st0, st1, st2):
                       (st2, 0.00027238338261970226)):
         assert pointwise_error_bound(st, float(st.config.xi_max)) == \
             pytest.approx(floor, rel=1e-9)
+
+
+def test_one_stage_floor_bounds_the_distance_to_a_finer_build(
+        reference_profile, st1, capsys):
+    # the truth for the truncation: the same build at a much smaller
+    # tail_tol; both floors hold on st1's coverage, so the two samples
+    # lie within their sum of each other
+    fine = build_measure(reference_profile, eta=0.3, eps=0.05, stages=1,
+                         config=BuildConfig(tail_tol=1e-11))
+    assert fine.scales == st1.scales
+    cfg = st1.config
+    coverage = st1.gfactors.half_bandwidth + cfg.kernel_halfwidth
+    assert fine.gfactors.half_bandwidth > st1.gfactors.half_bandwidth
+    grid = build_xi_grid(cfg.xi_max, cfg.samples_per_band)
+    grid = grid[grid <= coverage]
+    diff = float(np.max(np.abs(transform_samples(st1, grid)
+                               - transform_samples(fine, grid))))
+    top = min(float(cfg.xi_max), float(coverage))
+    floor = pointwise_error_bound(st1, top) + pointwise_error_bound(fine, top)
+    with capsys.disabled():
+        print(f"\none-stage floor {floor:.3g} against the largest observed "
+              f"difference {diff:.3g} over {grid.size} points: slack "
+              f"{floor / diff if diff else math.inf:.3g}")
+    assert diff <= floor
 
 
 def test_pointwise_floor_grows_with_reach(st1):

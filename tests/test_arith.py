@@ -1,8 +1,12 @@
 """Arithmetic layer: exponential sums, residue sets, multiplicative helpers."""
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,22 +149,55 @@ def test_multiplicative_helpers_reject_non_integers():
 @pytest.fixture
 def fresh_table(monkeypatch):
     monkeypatch.setattr(arith, "_table", (memoryview(b""), memoryview(b"")))
+    monkeypatch.setattr(arith, "_tau", memoryview(b""))
 
 
 def test_divisor_counts_grow_the_table_only_as_far_as_asked(fresh_table):
     cache = factorize.cache_info()              # neither read nor filled
+    table = arith._table
     for n in range(1, 30_964):                  # the regime fixture at M=16
         divisor_count(n)
-    assert len(arith._table[0]) <= 1 << 16
+    assert len(arith._tau) <= 1 << 16
+    assert arith._table is table                # no smallest-factor table
     assert factorize.cache_info() == cache
 
 
+def test_divisor_count_at_the_tau_table_edges(fresh_table):
+    # the table grows to the next power of two past n, from 2**12 up to
+    # the cap; at and above the cap the count is the factorize product
+    cap = arith._SIEVE_CAP
+    for n, size in ((2**12 - 1, 2**12), (2**12, 2**13), (2**15, 2**16),
+                    (2**15 + 1, 2**16), (cap - 1, cap), (cap, cap),
+                    (cap + 1, cap)):
+        assert divisor_count(n) == math.prod(
+            e + 1 for _, e in trial_division(n)), n
+        assert len(arith._tau) == size, n
+
+
+def test_importing_the_cli_builds_no_table():
+    # a table built at import would be paid by every process start
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import dfourier.cli; from dfourier import arith; "
+            "print(len(arith._tau), len(arith._table[0]), "
+            "len(arith._table[1]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "0", "0"]
+
+
 def test_large_n_grows_the_table_to_the_cap_and_no_further(fresh_table):
+    cap = arith._SIEVE_CAP
     _factor(10 ** 12)
-    assert len(arith._table[0]) == arith._SIEVE_CAP
+    assert len(arith._table[0]) == cap
     _factor(999_983 * 999_979)
     divisor_count(10 ** 12 - 11)
-    assert len(arith._table[0]) == arith._SIEVE_CAP
+    assert len(arith._table[0]) == cap
+    assert len(arith._tau) == 0       # n >= cap builds no tau table
+    for n in (cap - 1, cap, cap + 1, 2 * cap, 10 ** 12):
+        divisor_count(n)
+        assert len(arith._tau) == cap, n
 
 
 def test_first_large_factorization_allocates_under_12_mb(fresh_table):

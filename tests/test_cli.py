@@ -196,6 +196,25 @@ def test_power_law_window_of_2_62_builds(tmp_path, capsys):
     assert MeasureStage.load(out_dir / "stage.bin").profile.q_max == 2**62
 
 
+@pytest.mark.parametrize("command", ["buckets", "build"])
+def test_tiny_eta_leaves_no_scale(tmp_path, capsys, command):
+    # at eta = 1e-13 every u = eta log2(q/psi) lies within the 1e-12 snap
+    # of 0; the labeller keeps such q in bucket 0 (M = 1), so no scale
+    # M >= 2 holds a member
+    out_dir = tmp_path / "o"
+    assert main([command, "--config", REFERENCE_CONFIG, "--eta", "1e-13",
+                 "--output-dir", str(out_dir)]) == EXIT_WINDOW
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+    if command == "build":
+        assert "stage 1: not completed (no admissible scale to probe)" \
+            in captured.out
+        assert MeasureStage.load(out_dir / "stage.bin").stages == 0
+    else:
+        assert captured.out == ""
+
+
 def test_buckets_needs_profile(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
