@@ -50,7 +50,7 @@ def transform_samples(stage: MeasureStage, xi_grid: np.ndarray) -> np.ndarray:
     for the stored block up to the kernel cut (see
     ``sampling_remainder``).
     """
-    return window_samples(stage.gfactors.coeffs, xi_grid, stage.config.bump,
+    return window_samples(stage.gfactors.coeffs, xi_grid, BumpSpec(),
                           stage.config.kernel_halfwidth)
 
 
@@ -64,7 +64,7 @@ def sampling_remainder(stage: MeasureStage) -> float:
     """
     d_h = stage.config.kernel_halfwidth
     gf = stage.gfactors
-    bump = stage.config.bump
+    bump = BumpSpec()
     linf = float(np.max(np.abs(gf.coeffs)))
     return min(gf.l1_norm() * float(bump.window_envelope(d_h)),
                2.0 * linf * bump.window_tail_sum(d_h - 1))
@@ -82,10 +82,9 @@ def pointwise_error_bound(stage: MeasureStage, xi_top: float) -> float:
     the crude product bound.  The normalization constant's own
     uncertainty (the same bound at frequency 0) is folded in last.
     """
-    cfg = stage.config
-    bump = cfg.bump
+    bump = BumpSpec()
     rows = factor_tail_profiles(stage)
-    d_h = cfg.kernel_halfwidth
+    d_h = stage.config.kernel_halfwidth
     w_l1 = float(np.sum(np.abs(bump.window_kernel(0.0, 4 * d_h)))) \
         + 2.0 * bump.window_tail_sum(4 * d_h - 1)
 
@@ -466,7 +465,7 @@ class DirectDensity:
 
     def __init__(self, stage: MeasureStage):
         self.stage = stage
-        self.bump = stage.config.bump
+        self.bump = BumpSpec()
         self.combs = [_factor_comb(stage.profile, stage.profile.bucket(
             stage.eta, s).members, s) for s in stage.scales]
         self._nodes, self._weights = leggauss(8)

@@ -1,12 +1,15 @@
-"""Compactly supported bump kernels with closed-form Fourier envelopes.
+"""The one compactly supported bump kernel, with closed-form Fourier envelopes.
 
 The smoothing kernel used throughout is an m-fold self-convolution of a
-centred box of half-width ``w = shrink / m``.  That makes it a cardinal
-B-spline of order m squeezed so its support ``[-shrink, shrink]`` stays
-strictly inside (-1, 1), while its transform is exactly ``sinc(2*w*xi)**m``
-and therefore obeys the elementary envelope ``min(1, (2*pi*w*|xi|)**-m)``.
-Every decay estimate downstream reduces to sums of that envelope, so the
-tail helpers here are the single source of truth for truncation bounds.
+centred box of half-width ``w = shrink / m``, with m = 12 and shrink =
+0.99.  That makes it a cardinal B-spline of order m, in C^K for K = m - 2
+= 10, squeezed so its support ``[-shrink, shrink]`` stays strictly inside
+(-1, 1), while its transform is exactly ``sinc(2*w*xi)**m`` and therefore
+obeys the elementary envelope ``min(1, (2*pi*w*|xi|)**-m)``.  The
+construction needs K > s + 4, and every profile has s <= 1, so one fixed
+kernel serves every build.  Every decay estimate downstream reduces to
+sums of that envelope, so the tail helpers here are the single source of
+truth for truncation bounds.
 
 On the space side the kernel is an exact piecewise polynomial: its
 pieces come from the truncated-power formula in exact rationals, and
@@ -56,15 +59,11 @@ def _rising_pieces(m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BumpSpec:
-    """Smoothness budget and support shrink factor for the mollifier.
+    """The mollifier: smoothness K = 10, order m = K + 2 = 12, support
+    half-width ``shrink`` = 0.99.
 
-    Parameters
-    ----------
-    smoothness : int
-        Number K of continuous derivatives requested.  The convolution
-        order is ``m = K + 2`` so the kernel lands in C^K.
-    shrink : float
-        Support half-width of the kernel, strictly between 0 and 1.
+    The kernel is fixed, so an instance carries no state: every instance
+    is the same kernel, and the constructor takes no arguments.
 
     Notes
     -----
@@ -72,32 +71,10 @@ class BumpSpec:
     and vanishes to order m at infinity.
     """
 
-    smoothness: int = 10
-    shrink: float = 0.99
-
-    def __post_init__(self) -> None:
-        if self.smoothness < 1:
-            raise ValueError("smoothness must be a positive integer")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie strictly between 0 and 1")
-
-    # ------------------------------------------------------------------
-    # basic geometry
-    # ------------------------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        """Convolution order m = smoothness + 2."""
-        return self.smoothness + 2
-
-    @property
-    def box_halfwidth(self) -> float:
-        """Half-width w of each convolved box; support is [-m*w, m*w]."""
-        return self.shrink / self.order
-
-    def check_smoothness(self, s_exponent: float) -> bool:
-        """True when the smoothness margin K > s + 4 holds."""
-        return self.smoothness > s_exponent + 4.0
+    smoothness = 10                     # K continuous derivatives
+    order = smoothness + 2              # convolution order m
+    shrink = 0.99                       # support half-width, inside (0, 1)
+    box_halfwidth = shrink / order      # w; the support is [-m*w, m*w]
 
     # ------------------------------------------------------------------
     # space side

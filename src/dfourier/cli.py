@@ -92,8 +92,8 @@ class RunConfig:
             raise ProfileError("config key eta must lie in (0, 1)")
 
 
-# the bump kernel is fixed; every other BuildConfig field is a flat key
-_BUILD_KEYS = {f.name for f in fields(BuildConfig)} - {"bump"}
+# every BuildConfig field is a flat key
+_BUILD_KEYS = {f.name for f in fields(BuildConfig)}
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"build"} | _BUILD_KEYS
 
 

@@ -53,7 +53,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +66,7 @@ from .profile import ApproximationProfile, Bucket
 from .series import TruncatedFourierSeries, constant_series, series_multiply
 
 _ARTIFACT_MAGIC = b"DFMS"
-_ARTIFACT_VERSION = 3
+_ARTIFACT_VERSION = 4
 
 # assemble_line cuts a half-line into one piece per available CPU, none
 # shorter than _MIN_SPAN frequencies.  Each piece pays every member's
@@ -461,7 +461,7 @@ def factor_tail_profiles(stage: MeasureStage) -> list[tuple]:
     The profile maps a half-bandwidth L to the certified ``envelope_tail``
     of that factor's bucket beyond L.
     """
-    profile, bump, eta = stage.profile, stage.config.bump, stage.eta
+    profile, bump, eta = stage.profile, BumpSpec(), stage.eta
     rows = []
     for info in stage.factor_summaries:
         _, data = _bucket_data(profile, eta, info["scale"])
@@ -697,7 +697,8 @@ def select_next_scale(profile: ApproximationProfile, bump: BumpSpec, eta: float,
     first probe, so the log holds them however the selection ends.
     Returns the accepted row with the bucket and member table it probed,
     which the factor assembly takes over.  Exhausting the walk raises
-    ``WindowExhaustedError`` with the largest scale tried and its gap.
+    ``WindowExhaustedError`` with the largest scale tried and its gap, or,
+    when no scale past 2*prev_scale was probed, saying so.
     """
     tried: list[dict] = []
     gap_log.append(tried)
@@ -711,11 +712,12 @@ def select_next_scale(profile: ApproximationProfile, bump: BumpSpec, eta: float,
         tried.append(row)
         if threshold is None or row["gap"] <= threshold:
             return row, bucket, data
-    message = "no admissible scale satisfies the stability threshold"
-    if tried:
-        message += (f" (largest scale tried: {tried[-1]['scale']}, "
-                    f"gap {tried[-1]['gap']:.6g})")
-    raise WindowExhaustedError(message)
+    if not tried:
+        raise WindowExhaustedError(f"the window holds no admissible scale "
+                                   f"past M = {2 * prev_scale}")
+    raise WindowExhaustedError(
+        f"no admissible scale satisfies the stability threshold (largest "
+        f"scale tried: {tried[-1]['scale']}, gap {tried[-1]['gap']:.6g})")
 
 
 # ----------------------------------------------------------------------
@@ -739,7 +741,6 @@ class BuildConfig:
     samples_per_band: int = 32
     tail_tol: float = 1e-8
     bandwidth_budget: int = 1 << 20
-    bump: BumpSpec = field(default_factory=BumpSpec)
     kernel_halfwidth: int = 64
     band_margin: int = 512
 
@@ -764,7 +765,7 @@ class BuildConfig:
 
     def h0(self) -> TruncatedFourierSeries:
         """Window series at the build tolerance, never coarser than 1e-13."""
-        return h0_series(self.bump, min(self.tail_tol, 1e-13))
+        return h0_series(BumpSpec(), min(self.tail_tol, 1e-13))
 
 
 # artifact header keys that are MeasureStage fields of the same name
@@ -877,10 +878,10 @@ class MeasureStage:
         if zlib.crc32(raw[:-4]).to_bytes(4, "little") != raw[-4:]:
             raise ArtifactError("checksum mismatch")
         # a missing key must not silently take its default
-        cfg_d, keys = header["config"], asdict(BuildConfig())
-        if set(cfg_d) != set(keys) or set(cfg_d["bump"]) != set(keys["bump"]):
+        cfg_d = header["config"]
+        if set(cfg_d) != set(asdict(BuildConfig())):
             raise ArtifactError("header config keys differ from BuildConfig")
-        cfg = BuildConfig(**{**cfg_d, "bump": BumpSpec(**cfg_d["bump"])})
+        cfg = BuildConfig(**cfg_d)
         try:
             gfactors = TruncatedFourierSeries.from_half(
                 np.frombuffer(raw, "<c16", n, pos), header["gfactors_tail_bound"])
@@ -979,16 +980,12 @@ def build_measure(profile: ApproximationProfile, eta: float, eps: float,
     failing stage's probe record.
     """
     cfg = config or BuildConfig()
-    bump = cfg.bump
+    bump = BumpSpec()
     s_res = profile.s_exponent()
     if not 0.0 < eta < 1.0:
         raise ProfileError(f"weight exponent eta={eta} outside (0, 1)")
     if not 0.0 < eps < math.inf:
         raise ProfileError("config key eps must be a finite number > 0")
-    if not bump.check_smoothness(s_res.value):
-        raise ProfileError(
-            f"kernel smoothness {bump.smoothness} too low for exponent "
-            f"{s_res.value:.4f}; need smoothness > s + 4")
     if stages < 0:
         raise ProfileError("stage count must be nonnegative")
     h0 = cfg.h0()                       # raises on an unreachable tail_tol

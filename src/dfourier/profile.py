@@ -242,7 +242,10 @@ class ApproximationProfile:
         """Sorted array of the member denominators in the window, only
         those up to ``q_hi`` when it is given."""
         top = self.q_max if q_hi is None else math.floor(min(q_hi, self.q_max))
-        qs = np.arange(self.q_min, top + 1, dtype=np.int64)
+        try:
+            qs = np.arange(self.q_min, top + 1, dtype=np.int64)
+        except ValueError as exc:   # more bytes than any address space
+            raise MemoryError(str(exc)) from None
         return qs[self.member_mask(qs)]
 
     # -- the three component maps ---------------------------------------
@@ -353,7 +356,9 @@ class ApproximationProfile:
             inc = inc[inc > 0.0]
             if len(inc) < 2:
                 return False
-            ratios = np.log2(inc[1:] / inc[:-1])
+            # a difference of logs: a quotient of octave sums overflows
+            # when a radius is subnormal
+            ratios = np.diff(np.log2(inc))
             beta = float(np.mean(ratios[-3:]))
             return beta >= -0.05
 
@@ -473,15 +478,11 @@ class ApproximationProfile:
         return Bucket(k=k, members=members,
                       mass=self._sums(eta, k)[1])
 
-    def _closed_edge(self) -> bool:
-        """Whether bucket edges have a closed form: power-law radii on
-        every q of the window."""
-        return self.psi_kind == "power_law" and self.member_kind == "all"
-
     def _window_limited(self, eta: float, k: int) -> bool:
-        """Whether bucket k may have been cut off by the window; without
-        the closed-form edge, the whole window must be labelled."""
-        if self._closed_edge():
+        """Whether bucket k may have been cut off by the window, from the
+        labels up to bucket k's reach.  Power-law radii on every q of the
+        window give the bucket's edges in closed form."""
+        if self.psi_kind == "power_law" and self.member_kind == "all":
             c = eta * (1.0 + self.tau)
             # exponents capped at 1023, the largest a float holds: past it
             # both edges lie beyond any window, and a tiny eta does not
@@ -492,16 +493,17 @@ class ApproximationProfile:
             last = math.floor(q_hi)
             return first < self.q_min or last > self.q_max
         # heuristic for irregular profiles: an empty bucket, or one that
-        # holds q_min or q_max, may have been cut off
-        labels = self._labels[eta][0]
+        # holds q_min or q_max, may have been cut off.  q_max is read only
+        # once the labels reach it: short of that, the reach ends the
+        # bucket below q_max
+        labels, top = self._labels[eta][0], self.q_max - self.q_min
         return bool(self._sums(eta, k)[0] == 0 or labels[0] == k
-                    or labels[-1] == k)
+                    or (len(labels) > top and labels[top] == k))
 
     def _scale_entry(self, eta: float, k: int) -> "ScaleEntry":
         """The entry of scale M = 2**k, from the labels up to bucket k's
-        reach; without the closed-form edge, from the whole window's,
-        which the edge rule reads."""
-        self._bucket_labels(eta, k if self._closed_edge() else None)
+        reach."""
+        self._bucket_labels(eta, k)
         M = 1 << k
         count, mass = self._sums(eta, k)
         return ScaleEntry(k=k, scale=M, count=count, mass=mass,
@@ -527,10 +529,10 @@ class ApproximationProfile:
         """The admissible entries of ``scale_set(eta)``, k ascending, each
         built only when the walk reaches it.
 
-        Entry k labels the window only as far as bucket k reaches (the
-        whole window without the closed-form edge).  The walk ends past
-        the window's top label, where ``scale_set`` ends: once the whole
-        window is labelled and k is past every label.
+        Entry k labels the window only as far as bucket k reaches, for
+        every profile.  The walk ends past the window's top label, where
+        ``scale_set`` ends: once the whole window is labelled and k is
+        past every label.
         """
         k = 1
         while True:
@@ -600,12 +602,15 @@ def power_law_profile(tau: float, q_max: int, q_min: int | None = None,
                       theta: float = 0.0) -> ApproximationProfile:
     """Convenience constructor for psi(q) = q**-tau profiles."""
     if q_min is None:
-        # smallest q with psi(q) < 1/2; for very flat radii that point
-        # lies past every practical window, so clamp to the window edge
-        try:
-            knee = 2.0 ** (1.0 / tau) if tau > 0 else math.inf
-        except OverflowError:
-            knee = math.inf
-        q_min = q_max + 1 if knee > q_max else max(2, math.floor(knee) + 1)
+        # smallest q with psi(q) < 1/2 as the float that the window check
+        # reads, by bisection; for very flat radii that point lies past
+        # every practical window, so clamp to the window edge
+        q_min, hi = 2, q_max + 1
+        while q_min < hi:
+            mid = (q_min + hi) // 2
+            if float(mid) ** -tau < 0.5:
+                hi = mid
+            else:
+                q_min = mid + 1
     return ApproximationProfile(q_min=int(q_min), q_max=int(q_max), tau=float(tau),
                                 theta_value=float(theta))

@@ -3,7 +3,7 @@ import json
 import math
 import tracemalloc
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from dfourier import (
     ApproximationProfile,
+    BumpSpec,
     DecayBand,
     DecayReport,
     borel_cantelli_report,
@@ -87,7 +88,7 @@ def test_transform_matches_exact_windowed_sum(st1, r1):
     got = transform_samples(st1, xi)
     for x, g in zip(xi, got):
         n, frac = math.floor(x), x - math.floor(x)
-        kern = st1.config.bump.window_kernel(frac, d_h)
+        kern = BumpSpec().window_kernel(frac, d_h)
         re = im = Fraction(0)
         for m, k in zip(range(-d_h, d_h + 1), kern):
             if abs(n - m) <= L:
@@ -819,6 +820,26 @@ GENERAL_PROFILE = ApproximationProfile(
     coprime_kind="table",
     pair_table={q: (1, 2) if q % 2 else (3, 4) for q in range(2, 4000)},
     member_kind="residue_classes", member_modulus=3, member_classes=(1, 2))
+
+
+def test_general_profile_walk_labels_only_chunk_0(monkeypatch):
+    # residue-class membership has no closed-form edge, yet the walk
+    # labels only as far as the probed bucket reaches: the first
+    # admissible entry (M = 4, q <= 10) needs chunk 0 of the window's 16,
+    # and it is the entry that the whole window's scale_set admits first
+    chunks = []
+    label = ApproximationProfile._label_chunk
+
+    def counted(self, eta, labels, start):
+        chunks.append(start)
+        return label(self, eta, labels, start)
+    monkeypatch.setattr(ApproximationProfile, "_label_chunk", counted)
+    prof = replace(GENERAL_PROFILE)
+    first = next(prof.admissible_scales(0.3))
+    assert chunks == [0]
+    assert first.scale == 4
+    whole = replace(GENERAL_PROFILE).scale_set(0.3).entries
+    assert first == next(e for e in whole if e.admissible)
 
 
 @pytest.fixture(scope="module", params=[1, 2], ids=["one", "two"])

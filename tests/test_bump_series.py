@@ -15,6 +15,7 @@ from dfourier import (
     h0_series,
     series_multiply,
 )
+from dfourier.bump import _rising_pieces
 
 BUMP = BumpSpec()
 
@@ -24,19 +25,17 @@ BUMP = BumpSpec()
 # ----------------------------------------------------------------------
 
 def test_default_bump_geometry():
-    assert BUMP.smoothness == 10
-    assert BUMP.shrink == 0.99
-    assert BUMP.order == 12
-    assert BUMP.box_halfwidth == pytest.approx(0.99 / 12, rel=1e-15)
-
-
-def test_bump_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        BumpSpec(smoothness=0)
-    with pytest.raises(ValueError):
-        BumpSpec(shrink=1.0)
-    with pytest.raises(ValueError):
-        BumpSpec(shrink=0.0)
+    # one fixed kernel: class constants, and no constructor arguments
+    assert (BumpSpec.smoothness, BumpSpec.order, BumpSpec.shrink) \
+        == (10, 12, 0.99)
+    assert BumpSpec.box_halfwidth == 0.99 / 12
+    assert BUMP == BumpSpec()
+    for key in ("smoothness", "shrink"):
+        with pytest.raises(TypeError):
+            BumpSpec(**{key: 1})
+    # the construction needs K > s + 4, and s <= 1 for every profile
+    # (test_s_exponent_lies_in_unit_interval), so no build checks it
+    assert BumpSpec.smoothness > 1 + 4
 
 
 def test_value_support_symmetry_and_mass():
@@ -66,17 +65,32 @@ def _truncated_power(m: int, t: Fraction) -> Fraction:
 
 @pytest.mark.parametrize("order", [3, 5, 12])
 def test_value_matches_exact_truncated_power(order):
-    bump = BumpSpec(smoothness=order - 2)
-    w = Fraction(bump.box_halfwidth)
-    s = bump.shrink
+    # the pieces at every order, by Horner's rule on the rising half
     rng = np.random.default_rng(order)
+    t = np.concatenate([rng.uniform(0.0, order / 2.0, 300),
+                        rng.uniform(0.0, 1e-12, 20),  # near the left edge
+                        np.arange(order // 2 + 1), [order / 2.0]])
+    j = np.clip(np.floor(t), 0, (order - 1) // 2).astype(np.intp)
+    pieces = _rising_pieces(order)
+    acc = pieces[0][j]
+    for row in pieces[1:]:
+        acc = acc * (t - j) + row[j]
+    want = np.array([float(_truncated_power(order, Fraction(v))) for v in t])
+    assert np.all(np.abs(acc - want) <= 1e-15 * float(want.max()))
+    core = t >= 0.05 * order
+    assert np.all(np.abs(acc - want)[core] <= 1e-13 * want[core])
+    if order != BumpSpec.order:
+        return
+    # the kernel itself, which scales the pieces to its support
+    w = Fraction(BUMP.box_halfwidth)
+    s = BUMP.shrink
     xs = np.concatenate([
         rng.uniform(-s, s, 300),
         s - rng.uniform(0.0, 1e-12, 20),  # within 1e-12 of the edge
         -s + rng.uniform(0.0, 1e-12, 20),
-        bump.box_halfwidth * 2.0 * (np.arange(order + 1) - order / 2.0),
+        BUMP.box_halfwidth * 2.0 * (np.arange(order + 1) - order / 2.0),
         [0.0, s, -s, 1.0]])
-    got = bump.value(xs)
+    got = BUMP.value(xs)
     want = np.array([float(_truncated_power(order, order / Fraction(2)
                                             - abs(Fraction(x)) / (2 * w))
                            / (2 * w)) for x in xs])
@@ -122,12 +136,6 @@ def test_envelope_tail_sum_is_a_true_bound():
     assert BUMP.envelope_tail_sum(0.0, 3) == math.inf
     # shrinking the rate can only inflate the tail
     assert BUMP.envelope_tail_sum(0.25, start) >= BUMP.envelope_tail_sum(0.5, start)
-
-
-def test_check_smoothness_margin():
-    assert BUMP.check_smoothness(1.0 / 3.0)
-    assert BUMP.check_smoothness(5.9)
-    assert not BUMP.check_smoothness(6.0)
 
 
 # ----------------------------------------------------------------------

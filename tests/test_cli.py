@@ -170,13 +170,16 @@ def test_buckets_bad_k_range_is_usage_error(tmp_path, capsys, k_range):
 
 @pytest.mark.parametrize("command", ["buckets", "build"])
 def test_out_of_memory_is_usage_error(tmp_path, capsys, command):
-    # labelling a window of 2**62 denominators asks for exbibytes, more
-    # than the address space, so the allocation fails at once: the
-    # buckets table labels the whole window, and so does a build whose
-    # edge rule reads the labels (residue-class membership)
-    cfg = tiny_config(tmp_path, 2**62, stages=1, profile=tiny_profile(
-        2**62, q_member={"kind": "residue_classes", "modulus": 7,
-                         "classes": [1, 3]}))
+    # a whole window of 2**62 denominators asks for exbibytes, more than
+    # the address space, so the allocation fails at once: the buckets
+    # table labels the whole window, and a build on table radii lists the
+    # window's members for the empirical exponent s.  (A build labels
+    # only as far as its probes reach, whatever the membership.)
+    part = ({"q_member": {"kind": "residue_classes", "modulus": 7,
+                          "classes": [1, 3]}} if command == "buckets"
+            else {"psi": {"kind": "table", "values": {"3": 0.01}}})
+    cfg = tiny_config(tmp_path, 2**62, stages=1,
+                      profile=tiny_profile(2**62, **part))
     assert main([command, "--config", cfg,
                  "--output-dir", str(tmp_path / "o")]) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -208,6 +211,8 @@ def test_tiny_eta_leaves_no_scale(tmp_path, capsys, command):
     assert captured.err.startswith("error: ")
     assert len(captured.err.splitlines()) == 1
     if command == "build":
+        assert captured.err == ("error: the window holds no admissible "
+                                "scale past M = 0\n")
         assert "stage 1: not completed (no admissible scale to probe)" \
             in captured.out
         assert MeasureStage.load(out_dir / "stage.bin").stages == 0
@@ -327,6 +332,9 @@ def test_build_window_exhausted_without_candidates(tmp_path, capsys):
     assert main(["build", "--config", cfg]) == EXIT_WINDOW
     captured = capsys.readouterr()
     assert "stage 2: not completed (no admissible scale to probe)" in captured.out
+    # no probe ran, so the stability threshold has nothing to say
+    assert captured.err == ("error: the window holds no admissible scale "
+                            "past M = 8\n")
     partial = MeasureStage.load(tmp_path / "t12" / "stage.bin")
     assert partial.scales == (4,)
 
@@ -378,12 +386,14 @@ def test_analyze_corrupt_artifact_is_usage_error(st1, tmp_path, capsys):
             raw, lambda h: h["config"].pop("band_margin")),
         "extra_key.bin": _rewrite_header(
             raw, lambda h: h["config"].update(workers=1)),
-        "lost_bump_key.bin": _rewrite_header(
-            raw, lambda h: h["config"]["bump"].pop("shrink")),
         # a format-1 header (the two-block layout before the checksum)
         "v1.bin": _rewrite_header(raw, lambda h: h.update(format=1)),
         # a format-2 header (both halves of the block)
         "v2.bin": _rewrite_header(raw, lambda h: h.update(format=2)),
+        # a format-3 header (the kernel recorded in the build config)
+        "v3.bin": _rewrite_header(raw, lambda h: h.update(
+            format=3, config={**h["config"],
+                              "bump": {"shrink": 0.99, "smoothness": 10}})),
         "skew.bin": skew,
         # a build value the builder would reject, read back from a header
         "halfwidth0.bin": _rewrite_header(
@@ -392,9 +402,9 @@ def test_analyze_corrupt_artifact_is_usage_error(st1, tmp_path, capsys):
     reasons = {"value.bin": "checksum mismatch",
                "lost_key.bin": "header config keys differ",
                "extra_key.bin": "header config keys differ",
-               "lost_bump_key.bin": "header config keys differ",
-               "v1.bin": "artifact format 1 is not 3; rebuild the stage",
-               "v2.bin": "artifact format 2 is not 3; rebuild the stage",
+               "v1.bin": "artifact format 1 is not 4; rebuild the stage",
+               "v2.bin": "artifact format 2 is not 4; rebuild the stage",
+               "v3.bin": "artifact format 3 is not 4; rebuild the stage",
                "skew.bin": "gfactors: c(0) = ",
                "halfwidth0.bin": "kernel_halfwidth"}
     for name, blob in cases.items():

@@ -56,6 +56,31 @@ def test_s_exponent_empirical_agrees(reference_profile):
     assert table.s_exponent().mode == "empirical"
 
 
+_S_PROFILES = st.one_of(
+    # power-law radii, tau > 0, on a window that reaches psi < 1/2
+    st.floats(min_value=0.02, max_value=1e6).map(
+        lambda tau: power_law_profile(tau, 2**62)),
+    # table radii: any table on a small window
+    st.dictionaries(st.integers(2, 4096), st.floats(0.0, 0.499),
+                    max_size=300).map(
+        lambda table: ApproximationProfile(q_min=2, q_max=4096,
+                                           psi_kind="table",
+                                           psi_table=table)),
+    # table radii shaped like q**-t, so the bisection runs
+    st.tuples(st.floats(0.0, 3.0), st.floats(0.01, 0.49)).map(
+        lambda tc: ApproximationProfile(
+            q_min=2, q_max=4096, psi_kind="table",
+            psi_table={q: tc[1] * q ** -tc[0] for q in range(2, 4097)})))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_S_PROFILES)
+def test_s_exponent_lies_in_unit_interval(prof):
+    # with s <= 1 the fixed kernel's smoothness K = 10 > s + 4 holds for
+    # every profile, so the build needs no smoothness check
+    assert 0.0 <= prof.s_exponent().value <= 1.0
+
+
 def test_reference_bucket(reference_profile):
     b = reference_profile.bucket(0.3, 4)
     assert b.k == 2
