@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .arith import residue_set
+from .arith import admissible, residue_count, residue_set
 from .bump import BumpSpec
 from .measure import (MeasureStage, build_xi_grid, factor_tail_profiles,
                       window_samples)
@@ -294,22 +294,21 @@ class _FactorComb:
     psi: np.ndarray
     theta: np.ndarray
     counts: np.ndarray
-    masks: tuple
+    pairs: tuple                # (A_q, B_q) per member
 
 
 def _factor_comb(profile: ApproximationProfile, qs,
                  scale: int) -> _FactorComb:
     """The moduli qs and their cells; one with psi = 0 (any q off the
-    members) gets count 0 and no residue set."""
+    members) gets count 0."""
     qs = np.asarray(qs, dtype=np.int64)
     psi = profile.psi_values(qs)
-    sets = [residue_set(q, *profile.pair(q)) if r > 0.0 else None
-            for q, r in zip(qs.tolist(), psi.tolist())]
+    pairs = tuple(map(profile.pair, qs.tolist()))
+    counts = [residue_count(q, b) if r > 0.0 else 0
+              for q, (_, b), r in zip(qs.tolist(), pairs, psi.tolist())]
     return _FactorComb(scale=scale, qs=qs, psi=psi,
                        theta=profile.theta_values(qs),
-                       counts=np.array([rs.count if rs else 0 for rs in sets],
-                                       dtype=np.int64),
-                       masks=tuple(rs.mask if rs else None for rs in sets))
+                       counts=np.array(counts, dtype=np.int64), pairs=pairs)
 
 
 def _offset(x, q: int, theta: float):
@@ -329,11 +328,11 @@ def _offset(x, q: int, theta: float):
 
 
 def _comb_hits(comb: _FactorComb, x, reach: float):
-    """Per member with psi > 0: index i, q, psi, and at the points x the
-    residue p and offset d of ``_offset`` and whether p is admissible with
-    |d| < reach * psi.  Bumps have radius shrink * psi(q)/q < 1/(2q), so
-    the nearest p is the only candidate at any reach up to the full radius.
-    """
+    """Per member with psi > 0: index i, q, psi, and at the points x (1-D)
+    the residue p and offset d of ``_offset`` and whether |d| < reach * psi
+    with p admissible, tested only there.  Bumps have radius shrink *
+    psi(q)/q < 1/(2q), so the nearest p is the only candidate at any reach
+    up to the full radius."""
     for i in range(len(comb.qs)):
         q = int(comb.qs[i])
         psi = float(comb.psi[i])
@@ -341,7 +340,9 @@ def _comb_hits(comb: _FactorComb, x, reach: float):
             continue
         pr, d = _offset(x, q, float(comb.theta[i]))
         p = pr.astype(np.int64) % q
-        yield i, q, psi, p, d, comb.masks[i][p] & (np.abs(d) < reach * psi)
+        hit = np.abs(d) < reach * psi
+        hit[hit] = admissible(p[hit], q, *comb.pairs[i])
+        yield i, q, psi, p, d, hit
 
 
 def _comb_value(comb: _FactorComb, bump: BumpSpec, x: np.ndarray) -> np.ndarray:
@@ -357,10 +358,10 @@ def _comb_value(comb: _FactorComb, bump: BumpSpec, x: np.ndarray) -> np.ndarray:
 
 def _comb_witness(comb: _FactorComb, x: float) -> dict | None:
     """A pair (q, p) whose full-radius interval contains x, if any."""
-    for _, q, psi, p, d, hit in _comb_hits(comb, np.float64(x), 1.0):
-        if hit:
-            return {"scale": comb.scale, "q": q, "p": int(p),
-                    "distance": float(abs(d)) / q, "radius": psi / q}
+    for _, q, psi, p, d, hit in _comb_hits(comb, np.array([x]), 1.0):
+        if hit[0]:
+            return {"scale": comb.scale, "q": q, "p": int(p[0]),
+                    "distance": float(abs(d[0])) / q, "radius": psi / q}
     return None
 
 
@@ -403,8 +404,8 @@ def _cells(comb: _FactorComb, reach: float):
     and rate psi/q of every wrap copy that meets (0, 1) of the comb's
     cells |x - c| < reach * psi/q, p admissible; by shift, then q and p."""
     live = np.flatnonzero(comb.psi > 0.0)
-    p = np.concatenate([np.zeros(0, dtype=np.intp)]
-                       + [np.flatnonzero(comb.masks[i]) for i in live])
+    p = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        residue_set(int(comb.qs[i]), *comb.pairs[i]).members for i in live])
     own = np.repeat(live, comb.counts[live])
     q = comb.qs[own]
     c = np.mod((p + comb.theta[own]) / q, 1.0)

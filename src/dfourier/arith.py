@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -173,6 +172,12 @@ class ResidueSet:
         return int(self.members.size)
 
 
+def admissible(p, q: int, a: int, b: int) -> np.ndarray:
+    """Whether gcd(b*p + a, q) == 1 at the residues p in [0, q); a and b
+    enter reduced mod q, which leaves the gcd unchanged."""
+    return np.gcd((b % q) * p + a % q, q) == 1
+
+
 def residue_set(q: int, a: int = 0, b: int = 1) -> ResidueSet:
     """Enumerate the restricted residue set for modulus ``q`` and pair ``(a, b)``.
 
@@ -189,30 +194,18 @@ def residue_set(q: int, a: int = 0, b: int = 1) -> ResidueSet:
         raise ValueError(f"modulus must be >= 1, got {q}")
     validate_pair(a, b)
     p = np.arange(q, dtype=np.int64)
-    mask = np.gcd(b * p + a, q) == 1
-    members = p[mask]
-    return ResidueSet(members=members, mask=mask)
-
-
-def coprime_density(q: int, b: int) -> Fraction:
-    """Exact density of the restricted residue set in ``[0, q)``.
-
-    Equals the product of (1 - 1/p) over primes p dividing q but not b.
-    Valid for any pair (a, b) with gcd(a, b) == 1; the density does not
-    depend on a.
-    """
-    out = Fraction(1)
-    for p, _ in factorize(q):
-        if b % p != 0:
-            out *= Fraction(p - 1, p)
-    return out
+    mask = admissible(p, q, a, b)
+    return ResidueSet(members=p[mask], mask=mask)
 
 
 def residue_count(q: int, b: int) -> int:
-    """Exact size of the restricted residue set (q times its density)."""
-    n = q * coprime_density(q, b)
-    assert n.denominator == 1
-    return int(n)
+    """Exact size of the restricted residue set, in integers: q times
+    (1 - 1/p) for each prime p of q that does not divide b."""
+    n = q
+    for p, _ in factorize(q):
+        if b % p:
+            n = n // p * (p - 1)
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +231,18 @@ def divisor_hits(q: int, a: int = 0, b: int = 1) -> list[tuple[int, int, int, in
 def ramanujan_sum_bruteforce(q: int, k: int, a: int = 0, b: int = 1) -> complex:
     """S(q, k) by direct summation over the residue set.  Test oracle."""
     rs = residue_set(q, a, b)
-    phase = np.exp(-2j * np.pi * k * rs.members.astype(np.float64) / q)
+    phase = np.exp(-2j * np.pi * (k % q) * rs.members.astype(np.float64) / q)
     return complex(phase.sum())
 
 
 def ramanujan_sum(q: int, k: int, a: int = 0, b: int = 1) -> complex:
     """S(q, k) for the pair (a, b) via the divisor formula: the
-    ``divisor_hits`` terms whose stride ``g`` divides k."""
+    ``divisor_hits`` terms whose stride ``g`` divides k (k mod q in the
+    phase: S(q, .) has period q)."""
     total = 0.0 + 0.0j
     for _, g, mu, p0 in divisor_hits(q, a, b):
         if k % g == 0:
-            total += mu * g * np.exp(-2j * np.pi * k * p0 / q)
+            total += mu * g * np.exp(-2j * np.pi * (k % q) * p0 / q)
     return complex(total)
 
 

@@ -58,7 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import TWO_PI, divisor_hits, divisor_sum, divisors
+from .arith import TWO_PI, divisor_hits, divisor_sum, divisors, residue_count
 from .bump import BumpSpec
 from .errors import (ArtifactError, BandwidthBudgetError, ProfileError,
                      WindowExhaustedError)
@@ -167,8 +167,9 @@ def _member_data(profile: ApproximationProfile,
     records, counts, sigma_q, entries = [], [], [], []
     for i, (q_np, p, theta_np) in enumerate(zip(members, psi, thetas)):
         q, theta = int(q_np), float(theta_np)
-        terms = divisor_hits(q, *profile.pair(q))
-        n_i = sum(mu * g for _, g, mu, _ in terms)      # S(q, 0) = #I_q
+        a, b = profile.pair(q)
+        terms = divisor_hits(q, a, b)
+        n_i = residue_count(q, b)
         big = 134217729.0 * theta           # 2**27 + 1: Veltkamp split
         hi = big - (big - theta)
         # every lp divides the largest one, lp_max: the product of the

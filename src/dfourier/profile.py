@@ -334,7 +334,9 @@ class ApproximationProfile:
         return self._s_empirical()
 
     def _s_empirical(self) -> "SExponentResult":
-        qs = self.members()
+        # table radii vanish off the (sorted) keys; psi is 0 off the members
+        qs = (np.array(list(self._psi), dtype=np.int64)
+              if self.psi_kind == "table" else self.members())
         psi = self.psi_values(qs)
         keep = psi > 0.0
         qs, psi = qs[keep], psi[keep]

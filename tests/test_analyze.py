@@ -340,7 +340,8 @@ def test_witnesses_at_two_stage_spike_centres(st2):
     fine = dd.combs[-1]
     centres = np.concatenate([
         np.mod((np.flatnonzero(mask) + th) / q, 1.0)
-        for q, th, mask in zip(fine.qs, fine.theta, fine.masks)])
+        for q, th, mask in zip(fine.qs, fine.theta,
+                               _admissible_masks(st2.profile, fine))])
     centres = np.sort(centres[dd.raw_value(centres) > 0.0])
     assert len(centres) > 10_000
     for c in centres[np.linspace(0, len(centres) - 1, 200).astype(int)]:
@@ -349,13 +350,18 @@ def test_witnesses_at_two_stage_spike_centres(st2):
         assert [w["scale"] for w in out["witnesses"]] == list(st2.scales)
 
 
-def _exact_comb_value(comb, bump, x):
+def _admissible_masks(profile, comb):
+    # each member's admissible numerators from the definition, not the comb
+    return [residue_set(q, *profile.pair(q)).mask for q in comb.qs.tolist()]
+
+
+def _exact_comb_value(comb, masks, bump, x):
     # the comb at x with the spike offset x*q - theta - p in exact
     # rationals, rounded once to u = offset / psi
     X, total = Fraction(x), Fraction(0)
     for q, psi, theta, mask, count in zip(
             comb.qs.tolist(), comb.psi.tolist(), comb.theta.tolist(),
-            comb.masks, comb.counts.tolist()):
+            masks, comb.counts.tolist()):
         y = X * q - Fraction(theta)
         d = y - round(y)
         if mask[round(y) % q] and abs(d) < bump.shrink * psi:
@@ -369,18 +375,19 @@ def test_raw_value_matches_exact_offsets_at_two_stages(st2):
     # the offset must not inherit the rounding of x*q (off by 1e-5
     # relative when x*q is formed in floats)
     dd = DirectDensity(st2)
-    fine = dd.combs[-1]
+    coarse, fine = dd.combs
+    masks = [_admissible_masks(st2.profile, comb) for comb in dd.combs]
     c = np.concatenate([np.mod((np.flatnonzero(mask) + th) / q, 1.0)
                         for q, th, mask in zip(fine.qs, fine.theta,
-                                               fine.masks)])
+                                               masks[1])])
     rate = np.repeat(fine.psi / fine.qs, fine.counts)
     u = np.random.default_rng(1).uniform(-0.95, 0.95, len(c))
     x = c + rate * u * dd.bump.shrink
     x = np.sort(x[dd.raw_value(x) > 0.0])
     xs = x[np.linspace(0, len(x) - 1, 200).astype(int)]
     want = np.array([float(Fraction(float(dd.bump.window_value(v)))
-                           * _exact_comb_value(dd.combs[0], dd.bump, v)
-                           * _exact_comb_value(fine, dd.bump, v))
+                           * _exact_comb_value(coarse, masks[0], dd.bump, v)
+                           * _exact_comb_value(fine, masks[1], dd.bump, v))
                      for v in xs])
     assert np.all(want > 0.0)
     np.testing.assert_allclose(dd.raw_value(xs), want, rtol=1e-12, atol=0.0)
@@ -743,6 +750,24 @@ def test_upper_report_allocations_stay_per_batch(st1):
     assert peak <= 5e6
 
 
+def test_factor_comb_holds_no_residue_masks(reference_profile):
+    # a comb keeps O(1) numbers per member: the M = 4096 bucket (11,974
+    # members) peaks near 1.6 MB traced, plus up to 4 MB of factorize
+    # cache entries when cold; one mask of length q per member took
+    # 195 MB, and the members and masks of every residue set over 1 GB
+    members = reference_profile.bucket(0.3, 4096).members
+    assert len(members) == 11_974
+    tracemalloc.start()
+    try:
+        comb = analyze._factor_comb(reference_profile, members, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+    assert comb.counts.tolist()[:3] == [
+        residue_set(q, 0, 1).count for q in members[:3].tolist()]
+
+
 # ----------------------------------------------------------------------
 # writers
 # ----------------------------------------------------------------------
@@ -813,7 +838,7 @@ def test_upper_csv_layout(st1, tmp_path):
 
 # an irrational shift, q-dependent pairs (A_q, B_q) with B_q > 1 below
 # 4000, and Q = {q = 1, 2 mod 3}: the kernel's B_q-coprime strides, the
-# B_q > 1 residue masks and residue-class membership, which the
+# B_q > 1 admissibility and residue-class membership, which the
 # reference profile (theta = 0.3, pair (0, 1), every q) never reaches
 GENERAL_PROFILE = ApproximationProfile(
     q_min=2, q_max=1_000_000, tau=2.0, theta_value=math.sqrt(2.0) - 1.0,

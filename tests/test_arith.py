@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from dfourier import arith
 from dfourier.arith import (
     bound_ratio_scan,
-    coprime_density,
     divisor_count,
     divisor_hits,
     divisor_sum,
@@ -132,7 +131,6 @@ def test_multiplicative_helpers_reject_non_integers():
     for call in (lambda: factorize(12.5), lambda: divisor_count(12.5),
                  lambda: factorize(big), lambda: divisor_count(big),
                  lambda: mobius(6.0), lambda: divisor_sum(6.0),
-                 lambda: coprime_density(6.0, 1),
                  lambda: residue_count(6.0, 1)):
         with pytest.raises(TypeError):
             call()
@@ -257,8 +255,16 @@ def test_residue_count_matches_enumeration(q, a, b):
         return
     rs = residue_set(q, a, b)
     assert rs.count == residue_count(q, b)
-    # density is exact and independent of a
-    assert Fraction(rs.count, q) == coprime_density(q, b)
+    # the density is the Euler product over the primes of q that b lacks,
+    # whatever a is
+    assert Fraction(rs.count, q) == _euler_density(q, b)
+
+
+def _euler_density(q, b):
+    # product of (1 - 1/p) over the primes p of q (trial division) with
+    # p not dividing b, in exact rationals
+    return math.prod((Fraction(p - 1, p) for p, _ in trial_division(q)
+                      if b % p), start=Fraction(1))
 
 
 def test_divisor_hits_at_zero_count_the_residue_set():
@@ -271,11 +277,22 @@ def test_divisor_hits_at_zero_count_the_residue_set():
             assert sum(mu * g for _, g, mu, _ in hits) == residue_count(q, bq)
 
 
-def test_coprime_density_values():
-    assert coprime_density(6, 1) == Fraction(1, 3)
-    assert coprime_density(6, 2) == Fraction(2, 3)    # 2 divides b, dropped
-    assert coprime_density(7, 1) == Fraction(6, 7)
-    assert coprime_density(1, 1) == 1
+def test_residue_count_values():
+    assert residue_count(6, 1) == 2
+    assert residue_count(6, 2) == 4         # 2 divides b: no prime 2 factor
+    assert residue_count(7, 1) == 6
+    assert residue_count(1, 1) == 1
+    assert residue_count(12, 12) == 12      # the unrestricted pair (1, q)
+
+
+@pytest.mark.parametrize("q", [
+    2**21 + 1, 999_983 * 1_000_003, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
+    * 29 * 31, 999_999_999_989, 10**12])
+def test_residue_count_above_the_sieve_cap(q):
+    # exact integers past the smallest-factor table, up to 10**12
+    assert q > arith._SIEVE_CAP
+    for b in (1, 2, 3 * 7, 10**30 + 1, q):
+        assert residue_count(q, b) == q * _euler_density(q, b), b
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end command line checks driven through main()."""
 import argparse
 import ast
+import io
 import json
 import os
 import re
@@ -8,9 +9,11 @@ import struct
 import subprocess
 import sys
 import zlib
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dfourier import MeasureStage, ramanujan_sum
 from dfourier.cli import (_CONFIG_KEYS, EXIT_BUDGET, EXIT_OK, EXIT_USAGE,
@@ -99,6 +102,55 @@ def test_residues_rejects_non_coprime_pair(capsys):
     assert "coprime" in capsys.readouterr().err
 
 
+def _printed(capsys, argv):
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return captured.out
+
+
+@pytest.mark.parametrize("argv, reduced", [
+    (["residues", "10", "1", str(10**20 - 1)], ["residues", "10", "1", "9"]),
+    (["ramanujan", "10", "3", "1", str(10**20 - 1), "--method", "brute"],
+     ["ramanujan", "10", "3", "1", "9", "--method", "brute"]),
+    (["ramanujan", "10", str(10**400), "0", "1"],
+     ["ramanujan", "10", "0", "0", "1"]),
+], ids=["residues-b", "ramanujan-b", "ramanujan-k"])
+def test_big_integers_print_what_their_residues_print(capsys, argv, reduced):
+    # admissibility and S(q, k) depend on a, b and k mod q only
+    out = _printed(capsys, argv).splitlines()
+    want = _printed(capsys, reduced).splitlines()
+    if argv[0] == "residues":       # the header echoes the arguments
+        assert out[0] == "I_10(1,99999999999999999999) = {0, 2, 4, 8}"
+        out, want = out[1:], want[1:]
+    assert out == want
+
+
+_BIG = st.integers(-10**30, 10**30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(1, 2000), k=_BIG, a=_BIG, b=_BIG)
+def test_arithmetic_subcommands_never_trace_back(q, k, a, b):
+    # any integers: exit 0, or exit 2 with one error line, never a
+    # traceback; residues then prints enumerated = formula
+    for argv in (["residues", str(q), str(a), str(b)],
+                 ["ramanujan", str(q), str(k), str(a), str(b),
+                  "--method", "both"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+        if rc == EXIT_USAGE:
+            assert err.getvalue().startswith("error: ")
+            assert len(err.getvalue().splitlines()) == 1
+            continue
+        assert rc == EXIT_OK and err.getvalue() == ""
+        if argv[0] == "residues":
+            counts = re.findall(r"(?:enumerated|formula) += (\d+)",
+                                out.getvalue())
+            assert len(counts) == 2 and counts[0] == counts[1]
+
+
 # ----------------------------------------------------------------------
 # bucket table
 # ----------------------------------------------------------------------
@@ -172,20 +224,27 @@ def test_buckets_bad_k_range_is_usage_error(tmp_path, capsys, k_range):
 def test_out_of_memory_is_usage_error(tmp_path, capsys, command):
     # a whole window of 2**62 denominators asks for exbibytes, more than
     # the address space, so the allocation fails at once: the buckets
-    # table labels the whole window, and a build on table radii lists the
-    # window's members for the empirical exponent s.  (A build labels
-    # only as far as its probes reach, whatever the membership.)
-    part = ({"q_member": {"kind": "residue_classes", "modulus": 7,
-                          "classes": [1, 3]}} if command == "buckets"
-            else {"psi": {"kind": "table", "values": {"3": 0.01}}})
-    cfg = tiny_config(tmp_path, 2**62, stages=1,
+    # table labels the whole window, and a build labels as far as its
+    # first probe reaches, which for table radii at eta = 0.01 is
+    # 2**((k + 1)/eta - 1), past the window's end
+    if command == "buckets":
+        part = {"q_member": {"kind": "residue_classes", "modulus": 7,
+                             "classes": [1, 3]}}
+        eta = 0.3
+    else:
+        part = {"psi": {"kind": "table", "values": {"3": 0.01}}}
+        eta = 0.01
+    cfg = tiny_config(tmp_path, 2**62, stages=1, eta=eta,
                       profile=tiny_profile(2**62, **part))
     assert main([command, "--config", cfg,
                  "--output-dir", str(tmp_path / "o")]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("error: out of memory")
-    assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+    # table radii take the empirical exponent s, whose warnings come first
+    *warnings, last = err.splitlines()
+    assert last.startswith("error: out of memory")
+    assert all(w.startswith("warning: ") for w in warnings)
+    assert len(warnings) == (2 if command == "build" else 0)
 
 
 def test_power_law_window_of_2_62_builds(tmp_path, capsys):

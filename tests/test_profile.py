@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfourier.arith import coprime_density
+from dfourier.arith import residue_count
 from dfourier.bump import BumpSpec
 from dfourier.errors import ProfileError
 from dfourier.measure import build_measure, gm_series
@@ -414,7 +414,7 @@ def test_residue_fraction_consistency(reference_profile):
     for q in (6, 30, 97):
         a, b = reference_profile.pair(q)
         assert a == 0 and b == 1
-        assert coprime_density(q, b) == Fraction(
+        assert Fraction(residue_count(q, b), q) == Fraction(
             math.prod(p - 1 for p, _ in _factor(q)),
             math.prod(p for p, _ in _factor(q)))
 
